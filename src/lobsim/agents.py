@@ -57,6 +57,10 @@ class TraderSpec:
     sigma_price: float = 0.5
 
     def __post_init__(self):
+        for name in ("kappa", "mu_lifetime", "sigma_price"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.count < 1:
             raise ValueError("trader count must be >= 1")
         if self.kappa < 1:
@@ -103,11 +107,6 @@ def draw_waiting_time(rng: np.random.Generator, c: float, n_traders: int) -> int
 
 def draw_lifetime(rng: np.random.Generator, mu_lt: float) -> int:
     """Order lifetime in steps: Exp(mean mu_lt), ceiling, >= 1."""
-    if mu_lt <= MIN_RECOMMENDED_LIFETIME:
-        warnings.warn(
-            f"mu_lt={mu_lt} <= {MIN_RECOMMENDED_LIFETIME}: degenerate book regime",
-            stacklevel=2,
-        )
     return max(1, math.ceil(rng.exponential(mu_lt)))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import stats
 from .agents import TraderKind, TraderSpec
 from .impact import ImpactCurve, impact_distribution, quantile_volumes
-from .orderbook import Side
+from .orderbook import Side, walk_depth
 from .simulator import SimConfig, SimOutput, calibrate_c, derive_seed, run
 
 __all__ = [
@@ -108,12 +108,10 @@ class RunArtifacts:
     n_returns: int
     gamma2: float
     normalized_returns: np.ndarray
-    raw_returns: np.ndarray
     trades_per_minute: float
     avg_volume_per_day: float
     volatilities: np.ndarray | None = None
-    impact_samples: dict[int, np.ndarray] | None = None
-    impact_censored: dict[int, int] | None = None
+    impact_curves: dict[int, ImpactCurve] | None = None  # pinned volumes
     n_snapshots: int = 0
     tape_shares: np.ndarray | None = None
     snapshots: list | None = None
@@ -184,7 +182,6 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
         n_returns=g.values.size,
         gamma2=stats.excess_kurtosis(g.values),
         normalized_returns=g.values,
-        raw_returns=rs.values,
         trades_per_minute=output.trades_per_minute,
         avg_volume_per_day=avg_volume_per_day(output),
     )
@@ -192,17 +189,19 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
         art.volatilities = stats.moving_volatility(rs, scenario.vol_window)
     if "impact_curves" in scenario.outputs:
         if scenario.impact_volumes:
-            samples: dict[int, np.ndarray] = {}
-            censored: dict[int, int] = {}
+            # a seed whose book never holds v only adds censored snapshots;
+            # _pool_impact raises when every seed's book falls short
+            saturate = scenario.impact_censored == "saturate"
+            art.impact_curves = {}
             for v in scenario.impact_volumes:
-                deltas, n_cens = _impact_samples(
-                    output.snapshots, scenario.impact_side, v,
-                    scenario.impact_censored,
+                shifts, n_censored = walk_depth(
+                    output.snapshots, scenario.impact_side, v, saturate
                 )
-                samples[v] = deltas
-                censored[v] = n_cens
-            art.impact_samples = samples
-            art.impact_censored = censored
+                art.impact_curves[v] = ImpactCurve(
+                    volume=v, side=scenario.impact_side, samples=shifts,
+                    censored_count=n_censored,
+                    n_snapshots=len(output.snapshots),
+                )
         else:
             # quantile volumes are pooled: hand snapshots back instead
             art.snapshots = output.snapshots
@@ -218,11 +217,6 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
     if out_dir is not None:
         _write_run_csvs(Path(out_dir), scenario, output, art)
     return art
-
-
-def _impact_samples(snapshots, side, volume, censored) -> tuple[np.ndarray, int]:
-    curve = impact_distribution(snapshots, side, volume, censored=censored)
-    return curve.samples, curve.censored_count
 
 
 # ----------------------------------------------------------------------
@@ -241,14 +235,11 @@ def run_scenario(
     scenario: Scenario,
     out_dir: str | Path | None = None,
     workers: int | None = None,
-    normalize_pooled: bool = False,
 ) -> ScenarioResult:
     """Run every seed, pool deterministically, optionally emit CSVs.
 
-    Per-run normalization is the default: each run's returns are
-    standardized by its own mean and sigma before pooling. With
-    ``normalize_pooled`` the raw returns are pooled first and
-    standardized once.
+    Each run's returns are standardized by its own mean and sigma
+    before pooling.
     """
     scenario_dir = None
     runs_dir = None
@@ -275,18 +266,10 @@ def run_scenario(
 
     runs = [results[seed] for seed in sorted(results)]
 
-    if normalize_pooled:
-        pooled_raw = np.concatenate([r.raw_returns for r in runs])
-        mean, std = pooled_raw.mean(), pooled_raw.std()
-        if std == 0:
-            raise ValueError("degenerate pooled returns")
-        pooled = (pooled_raw - mean) / std
-        accum = stats.MomentAccumulator().add(pooled)
-    else:
-        accum = stats.MomentAccumulator()
-        for r in runs:
-            accum.add(r.normalized_returns)
-        pooled = np.concatenate([r.normalized_returns for r in runs])
+    accum = stats.MomentAccumulator()
+    for r in runs:
+        accum.add(r.normalized_returns)
+    pooled = np.concatenate([r.normalized_returns for r in runs])
 
     per_run_g2 = np.array([r.gamma2 for r in runs])
     result = ScenarioResult(
@@ -315,13 +298,17 @@ def _pool_impact(scenario: Scenario, runs: list[RunArtifacts],
                  result: ScenarioResult) -> None:
     volumes = scenario.impact_volumes
     if volumes:
-        n_snaps = sum(r.n_snapshots for r in runs)
         for v in volumes:
-            samples = np.concatenate([r.impact_samples[v] for r in runs])
-            censored = sum(r.impact_censored[v] for r in runs)
+            curves = [r.impact_curves[v] for r in runs]
+            samples = np.concatenate([c.samples for c in curves])
+            if not samples.size:
+                raise ValueError(
+                    f"volume {v} exceeds book depth in every snapshot"
+                )
             result.impact_curves[v] = ImpactCurve(
                 volume=v, side=scenario.impact_side, samples=samples,
-                censored_count=censored, n_snapshots=n_snaps,
+                censored_count=sum(c.censored_count for c in curves),
+                n_snapshots=sum(c.n_snapshots for c in curves),
             )
         return
     # volumes not pinned: derive them from the pooled trade tape

@@ -13,6 +13,10 @@ two volumes' curves coincide only where both volumes end on the same
 price level in nearly every snapshot. Two saturated (censored) walks
 both end on the deepest level: their curves coincide trivially and
 show nothing about gaps.
+
+The walk itself is ``orderbook.walk_depth``, the package's one
+cumulative-depth walk; it lives beside ``BookSnapshot`` so that the
+book's own ``impact_shift`` can use it without importing this module.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orderbook import BookSnapshot, Side
+from .orderbook import BookSnapshot, Side, walk_depth
 from .stats import estimate_ccdf
 
 __all__ = [
@@ -80,37 +84,19 @@ def impact_distribution(
     """
     if not snapshots:
         raise ValueError("no snapshots")
-    if volume < 1:
-        raise ValueError("volume must be >= 1")
     if censored not in ("exclude", "saturate"):
         raise ValueError("censored must be 'exclude' or 'saturate'")
-    saturate = censored == "saturate"
-    shifts = []
-    n_censored = 0
-    for snap in snapshots:
-        if side is Side.BUY:
-            ticks, shares = snap.ask_ticks, snap.ask_shares
-        else:
-            ticks, shares = snap.bid_ticks, snap.bid_shares
-        if ticks.size == 0:
-            n_censored += 1  # no best price; nothing a market order could hit
-            continue
-        cum = np.cumsum(shares)
-        idx = int(np.searchsorted(cum, volume, side="left"))
-        if idx >= ticks.size:
-            n_censored += 1
-            if not saturate:
-                continue
-            idx = ticks.size - 1
-        shifts.append(abs(int(ticks[idx]) - int(ticks[0])) * snap.tick_size)
-    if not shifts:
+    shifts, n_censored = walk_depth(
+        snapshots, side, volume, saturate=censored == "saturate"
+    )
+    if not shifts.size:
         raise ValueError(
             f"volume {volume} exceeds book depth in every snapshot"
         )
     return ImpactCurve(
         volume=volume,
         side=side,
-        samples=np.asarray(shifts, dtype=np.float64),
+        samples=shifts,
         censored_count=n_censored,
         n_snapshots=len(snapshots),
     )

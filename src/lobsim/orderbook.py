@@ -11,13 +11,16 @@ Supports crossing limit orders (fills execute at the resting order's
 tick, remainder rests), market orders (unfilled remainder is discarded),
 end-of-step expiry, depth analytics (cumulative supply/demand per tick)
 and non-destructive "virtual impact" queries: the price shift a market
-order of a given size would cause, without executing it.
+order of a given size would cause, without executing it. ``walk_depth``
+is the one cumulative-depth walk behind every impact query, on a live
+book or on any number of recorded snapshots at once.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +31,7 @@ __all__ = [
     "Order",
     "Trade",
     "BookSnapshot",
+    "walk_depth",
     "OrderBook",
     "OrderRejected",
     "BookSideEmpty",
@@ -93,9 +97,8 @@ class BookSnapshot:
     """Per-level depth at one step, best level first on both sides.
 
     Level data is stored as parallel numpy arrays to keep large snapshot
-    collections cheap; ``bids``/``asks`` expose them as (tick, shares)
-    tuples. Bid ticks descend from the best bid, ask ticks ascend from
-    the best ask.
+    collections cheap. Bid ticks descend from the best bid, ask ticks
+    ascend from the best ask.
     """
 
     step: int
@@ -106,14 +109,6 @@ class BookSnapshot:
     ask_shares: np.ndarray
 
     @property
-    def bids(self) -> list[tuple[int, int]]:
-        return list(zip(self.bid_ticks.tolist(), self.bid_shares.tolist()))
-
-    @property
-    def asks(self) -> list[tuple[int, int]]:
-        return list(zip(self.ask_ticks.tolist(), self.ask_shares.tolist()))
-
-    @property
     def best_bid(self) -> int | None:
         return int(self.bid_ticks[0]) if self.bid_ticks.size else None
 
@@ -121,34 +116,61 @@ class BookSnapshot:
     def best_ask(self) -> int | None:
         return int(self.ask_ticks[0]) if self.ask_ticks.size else None
 
-    def impact_shift(
-        self, side: Side, volume: int, saturate: bool = False
-    ) -> float | None:
-        """Virtual price shift of a ``side`` market order of ``volume``.
 
-        Walks cumulative depth away from the best price on the opposite
-        side of the order's flow: a buy consumes asks, a sell consumes
-        bids. When the side holds less than ``volume`` in total the
-        observation is censored: None by default, or the full-depth
-        walk (shift to the deepest occupied level, where an actual
-        market order's last fill would land) with ``saturate=True``.
-        Empty sides always yield None.
-        """
-        if volume < 1:
-            raise ValueError("volume must be >= 1")
-        if side is Side.BUY:
-            ticks, shares = self.ask_ticks, self.ask_shares
-        else:
-            ticks, shares = self.bid_ticks, self.bid_shares
-        if ticks.size == 0:
-            return None
-        cum = np.cumsum(shares)
-        idx = int(np.searchsorted(cum, volume, side="left"))
-        if idx >= ticks.size:
-            if not saturate:
-                return None
-            idx = ticks.size - 1
-        return abs(int(ticks[idx]) - int(ticks[0])) * self.tick_size
+def walk_depth(
+    snapshots: Sequence[BookSnapshot],
+    side: Side,
+    volume: int,
+    saturate: bool = False,
+) -> tuple[np.ndarray, int]:
+    """Virtual price shifts of a ``side`` market order of ``volume``.
+
+    Walks cumulative depth away from the best price on the opposite
+    side of the order's flow: a buy consumes asks, a sell consumes
+    bids. The shift is the distance, in price units, from the best
+    level to the level holding the ``volume``-th share. When a side
+    holds less than ``volume`` in total the snapshot is censored: it
+    yields no shift by default, or the full-depth walk (shift to the
+    deepest occupied level, where an actual market order's last fill
+    would land) with ``saturate=True``. Empty sides are censored and
+    never yield a shift.
+
+    Returns the shifts in snapshot order and the censored count. All
+    snapshots are walked at once: their sides are concatenated under
+    one cumulative sum, and snapshot i's walk is one search for
+    ``base_i + volume``, where ``base_i`` counts the shares before it.
+    """
+    if volume < 1:
+        raise ValueError("volume must be >= 1")
+    if not snapshots:
+        return np.empty(0), 0
+    if side is Side.BUY:
+        ticks = [s.ask_ticks for s in snapshots]
+        shares = [s.ask_shares for s in snapshots]
+    else:
+        ticks = [s.bid_ticks for s in snapshots]
+        shares = [s.bid_shares for s in snapshots]
+    sizes = np.array([t.size for t in ticks], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # snapshot i occupies positions [starts[i], ends[i])
+    # cum[k]: shares at positions before k; the share a walk needs lies
+    # at the position before the first k with cum[k] >= base_i + volume
+    cum = np.concatenate([np.zeros(1, dtype=np.int64), *shares])
+    np.cumsum(cum, out=cum)
+    last = np.searchsorted(cum, cum[starts] + volume, side="left") - 1
+    filled = last < ends
+    if saturate:
+        keep = sizes > 0
+        last = np.minimum(last, ends - 1)
+    else:
+        keep = filled
+    # the sums are no longer needed: their buffer takes the ticks, which
+    # keeps the walk's peak memory at one array of levels
+    flat_ticks = np.concatenate(ticks, out=cum[1:])
+    tick_size = np.array([s.tick_size for s in snapshots])
+    shifts = (np.abs(flat_ticks[last[keep]] - flat_ticks[starts[keep]])
+              * tick_size[keep])
+    return shifts, len(snapshots) - int(np.count_nonzero(filled))
 
 
 @dataclass
@@ -387,7 +409,7 @@ class OrderBook:
     # depth analytics
     # ------------------------------------------------------------------
 
-    def supply(self, limit: int, step: int = 0) -> int:
+    def supply(self, limit: int) -> int:
         """Total ask shares available up to ``limit``, from the best ask."""
         best = self._asks.best()
         if best is None:
@@ -397,7 +419,7 @@ class OrderBook:
         shares = self._asks.level_shares
         return sum(shares[t] for t in self._asks.levels if t <= limit)
 
-    def demand(self, limit: int, step: int = 0) -> int:
+    def demand(self, limit: int) -> int:
         """Total bid shares available down to ``limit``, from the best bid."""
         best = self._bids.best()
         if best is None:
@@ -408,7 +430,7 @@ class OrderBook:
         return sum(shares[t] for t in self._bids.levels if t >= limit)
 
     def impact_shift(
-        self, side: Side, volume: int, step: int = 0, saturate: bool = False
+        self, side: Side, volume: int, saturate: bool = False
     ) -> float | None:
         """Virtual price shift of a market order, without executing it.
 
@@ -418,24 +440,8 @@ class OrderBook:
         the observation is censored: None by default, the full-depth
         walk with ``saturate=True``. Empty sides always yield None.
         """
-        if volume < 1:
-            raise ValueError("volume must be >= 1")
-        book_side = self._asks if side is Side.BUY else self._bids
-        best = book_side.best()
-        if best is None:
-            return None
-        ticks = book_side.sorted_ticks()
-        if book_side.total_shares < volume:
-            if not saturate:
-                return None
-            return abs(ticks[-1] - best) * self.tick_size
-        cum = 0
-        shares = book_side.level_shares
-        for tick in ticks:
-            cum += shares[tick]
-            if cum >= volume:
-                return abs(tick - best) * self.tick_size
-        raise AssertionError("unreachable: total_shares >= volume")
+        shifts, _ = walk_depth([self.snapshot(0)], side, volume, saturate)
+        return float(shifts[0]) if shifts.size else None
 
     def snapshot(self, step: int) -> BookSnapshot:
         """Per-level depth snapshot, best level first on both sides."""

@@ -12,6 +12,7 @@ time scale c until short probe runs hit a target trades-per-minute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,6 +65,10 @@ class SimConfig:
             object.__setattr__(self, "trader_specs", ())
         else:
             object.__setattr__(self, "trader_specs", tuple(self.trader_specs))
+        for name in ("c", "mu_vol", "tick_size", "start_price"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.mu_vol <= 0:

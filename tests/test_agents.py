@@ -91,9 +91,7 @@ def test_lifetime_distribution(rng):
     assert d < 0.01
 
 
-def test_short_lifetime_flagged(rng):
-    with pytest.warns(UserWarning):
-        draw_lifetime(rng, 30.0)
+def test_short_lifetime_flagged():
     with pytest.warns(UserWarning):
         TraderSpec(mu_lifetime=40.0)
 
@@ -229,5 +227,9 @@ def test_trader_spec_validation():
         TraderSpec(kappa=0.5, kind=TraderKind.BIG)
     with pytest.raises(ValueError):
         TraderSpec(sigma_price=0.0)
+    for field, value in [("mu_lifetime", math.inf), ("sigma_price", math.nan),
+                         ("kappa", math.nan), ("kappa", math.inf)]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TraderSpec(kind=TraderKind.BIG, **{field: value})
     spec = TraderSpec(kind=TraderKind.BIG, count=30, kappa=5.0, mu_lifetime=1200.0)
     assert spec.kappa == 5.0

@@ -93,17 +93,6 @@ def test_workers_env_override(monkeypatch):
     assert experiments._resolve_workers(16, 4) == 4
 
 
-def test_normalize_pooled_flag():
-    scen = tiny_scenario()
-    per_run = run_scenario(scen, workers=1)
-    pooled = run_scenario(scen, workers=1, normalize_pooled=True)
-    assert abs(pooled.pooled_returns.mean()) < 1e-9
-    assert abs(pooled.pooled_returns.std() - 1.0) < 1e-9
-    # per-run normalization standardizes each run separately instead
-    assert per_run.pooled_returns.size == pooled.pooled_returns.size
-    assert not np.array_equal(per_run.pooled_returns, pooled.pooled_returns)
-
-
 def test_failure_reports_seed():
     scen = tiny_scenario(seeds=(1,))
     bad = replace(scen, config=replace(scen.config, horizon_T=1_250))
@@ -135,6 +124,38 @@ def test_impact_outputs_with_explicit_volumes(tmp_path):
     assert "tiny/pooled/impact_v5.csv" in files
     assert "tiny/pooled/impact_v5_censored.csv" in files
     assert "tiny/runs/2/snapshots.csv" in files
+
+
+def test_pinned_volume_deeper_than_one_seeds_book():
+    """A seed whose book never holds v adds censored snapshots, no abort."""
+    cfg = SimConfig(
+        trader_specs=(TraderSpec(count=300, mu_lifetime=120.0),), c=5.045,
+        horizon_T=5_000, warmup=1_200, snapshot_interval=60, seed=0,
+    )
+    scen = Scenario(name="shallow", config=cfg, seeds=(1, 2),
+                    outputs=frozenset({"impact_curves"}),
+                    impact_volumes=(10, 160))
+    inline = run_scenario(scen, workers=1)
+    pooled = run_scenario(scen, workers=2)
+    seed1, seed2 = inline.runs
+    # seed 1's ask side never holds 160 shares, seed 2's sometimes does
+    assert seed1.impact_curves[160].samples.size == 0
+    assert seed1.impact_curves[160].censored_count == seed1.n_snapshots
+    assert seed2.impact_curves[160].samples.size > 0
+    curve = inline.impact_curves[160]
+    assert curve.samples.size > 0
+    assert curve.censored_count == (
+        seed1.n_snapshots + seed2.impact_curves[160].censored_count
+    )
+    assert curve.n_snapshots == seed1.n_snapshots + seed2.n_snapshots
+    for v in (10, 160):
+        np.testing.assert_array_equal(inline.impact_curves[v].samples,
+                                      pooled.impact_curves[v].samples)
+        assert (inline.impact_curves[v].censored_count
+                == pooled.impact_curves[v].censored_count)
+    # censored in every snapshot of every seed: still an error
+    with pytest.raises(ValueError, match="every snapshot"):
+        run_scenario(replace(scen, impact_volumes=(10**6,)), workers=1)
 
 
 def test_impact_outputs_quantile_path():

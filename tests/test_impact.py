@@ -140,23 +140,33 @@ def _rebuild(snap) -> OrderBook:
 @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
 @pytest.mark.parametrize("censored", ["exclude", "saturate"])
 def test_curves_match_destructive_execution(rng, side, censored):
-    """Each pooled shift equals a market order run on a copied book."""
-    snaps = _snapshots(rng, 25, n_orders=35)
-    depths = [
-        int((s.ask_shares if side is Side.BUY else s.bid_shares).sum())
-        for s in snaps
-    ]
-    v = int(np.percentile(depths, 70))
-    curve = impact_distribution(snaps, side, v, censored=censored)
-    realized = []
-    for snap, depth in zip(snaps, depths):
-        if censored == "exclude" and depth < v:
-            continue
-        book = _rebuild(snap)
-        pre_best = book.best_ask() if side is Side.BUY else book.best_bid()
-        trades, _ = book.submit_market(side, v, step=0)
-        realized.append(abs(trades[-1].tick - pre_best) * snap.tick_size)
-    np.testing.assert_allclose(curve.samples, np.array(realized))
+    """Each pooled shift equals a market order run on a copied book.
+
+    The second snapshot list holds books of 0-40 orders, so some sides
+    are empty: the first snapshot's and some in the middle.
+    """
+    deep = _snapshots(rng, 25, n_orders=35)
+    n_orders = rng.integers(0, 41, 30)
+    n_orders[[0, 12, 13, 21]] = 0
+    shallow = [build_random_book(rng, n_orders=int(n)).snapshot(step=i)
+               for i, n in enumerate(n_orders)]
+    for snaps in (deep, shallow):
+        depths = [
+            int((s.ask_shares if side is Side.BUY else s.bid_shares).sum())
+            for s in snaps
+        ]
+        v = int(np.percentile(depths, 70))
+        curve = impact_distribution(snaps, side, v, censored=censored)
+        realized = []
+        for snap, depth in zip(snaps, depths):
+            if depth == 0 or (censored == "exclude" and depth < v):
+                continue
+            book = _rebuild(snap)
+            pre_best = book.best_ask() if side is Side.BUY else book.best_bid()
+            trades, _ = book.submit_market(side, v, step=0)
+            realized.append(abs(trades[-1].tick - pre_best) * snap.tick_size)
+        np.testing.assert_allclose(curve.samples, np.array(realized))
+        assert curve.censored_count == sum(d < v for d in depths)
 
 
 # ----------------------------------------------------------------------

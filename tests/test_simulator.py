@@ -1,5 +1,7 @@
 """Event loop, determinism, minute sampling and calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,10 @@ def test_config_validation():
         small_config(horizon_T=100, warmup=100)
     with pytest.raises(ValueError):
         small_config(steps_per_minute=0)
+    for field, value in [("c", math.nan), ("c", math.inf), ("mu_vol", math.nan),
+                         ("tick_size", math.inf), ("start_price", math.nan)]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_config(**{field: value})
     cfg = small_config(warmup=None)
     assert cfg.warmup == 1200  # 10x the 120-step lifetime
 
