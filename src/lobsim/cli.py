@@ -13,6 +13,7 @@ from .experiments import (
     lifetime_sweep,
     run_scenario,
     scenario_from_config,
+    worker_pool,
 )
 from .simulator import calibrate_c, derive_seed
 
@@ -77,7 +78,9 @@ def _cmd_calibrate(args) -> int:
         warmup=min(probe.warmup, args.probe_horizon // 3),
         snapshot_interval=0,
     )
-    c = calibrate_c(args.target_tpm, probe, n_seeds=args.probe_seeds)
+    with worker_pool(None, args.probe_seeds) as pool:
+        c = calibrate_c(args.target_tpm, probe, n_seeds=args.probe_seeds,
+                        pool=pool)
     print(f"calibrated c = {c!r} for {args.target_tpm} trades/minute")
     return 0
 

@@ -1,10 +1,11 @@
 """Batch orchestration: scenarios, seed fan-out, sweeps, figure data.
 
 A scenario is one simulation config fanned out over a list of distinct
-seeds. Runs execute in a worker pool (seed-keyed, no shared state) and
-pool deterministically: per-seed results are sorted by seed before any
-aggregation, so pooled statistics are invariant under permutation of
-the seed list and reruns emit byte-identical CSVs.
+seeds. Runs execute in a worker pool (seed-keyed, no shared state; a
+lifetime sweep shares one pool between its calibration probes and its
+scenarios) and pool deterministically: per-seed results are sorted by
+seed before any aggregation, so pooled statistics are invariant under
+permutation of the seed list and reruns emit byte-identical CSVs.
 
 Output layout, one directory per scenario:
 
@@ -20,7 +21,8 @@ use dotted keys like ``trader.random.count``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,7 +32,8 @@ from . import stats
 from .agents import TraderKind, TraderSpec
 from .impact import ImpactCurve, impact_distribution, quantile_volumes
 from .orderbook import Side, walk_depth
-from .simulator import SimConfig, SimOutput, calibrate_c, derive_seed, run
+from .simulator import (PROBE_SEEDS, SimConfig, SimOutput, calibrate_c,
+                        derive_seed, fan_out, run)
 
 __all__ = [
     "Scenario",
@@ -43,6 +46,7 @@ __all__ = [
     "bigtrader_scenario",
     "scenario_from_config",
     "write_config",
+    "worker_pool",
     "STEPS_PER_DAY",
     "WORKERS_ENV_VAR",
 ]
@@ -90,6 +94,14 @@ class Scenario:
             raise ValueError(f"unknown outputs: {sorted(unknown)}")
         if self.impact_censored not in ("exclude", "saturate"):
             raise ValueError("impact_censored must be 'exclude' or 'saturate'")
+        if any(v < 1 for v in self.impact_volumes):
+            raise ValueError(
+                f"impact_volumes must be >= 1, got {self.impact_volumes}"
+            )
+        if any(not 0 < q < 1 for q in self.impact_quantiles):
+            raise ValueError(
+                f"impact_quantiles must lie in (0, 1), got {self.impact_quantiles}"
+            )
 
     def effective_config(self) -> SimConfig:
         """Config with a snapshot cadence forced on when snapshots are needed."""
@@ -225,21 +237,50 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
 
 
 def _resolve_workers(workers: int | None, n_jobs: int) -> int:
+    """The argument, else LOBSIM_WORKERS, else the CPU count; at most n_jobs."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(env) if env else (os.cpu_count() or 1)
+        if not env:
+            return max(1, min(os.cpu_count() or 1, n_jobs))
+        if not env.isdigit() or int(env) < 1:
+            raise ValueError(
+                f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
+            )
+        workers = int(env)
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     return max(1, min(workers, n_jobs))
+
+
+@contextmanager
+def worker_pool(workers: int | None, n_jobs: int):
+    """A process pool of the resolved worker count, or None for one worker.
+
+    With one worker everything runs in the calling process. The pool
+    keeps the default start method (fork on Linux), so workers inherit
+    wrappers installed on lobsim's modules; perfbench counts activations
+    that way.
+    """
+    n_workers = _resolve_workers(workers, n_jobs)
+    if n_workers == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        yield pool
 
 
 def run_scenario(
     scenario: Scenario,
     out_dir: str | Path | None = None,
     workers: int | None = None,
+    pool: Executor | None = None,
 ) -> ScenarioResult:
     """Run every seed, pool deterministically, optionally emit CSVs.
 
-    Each run's returns are standardized by its own mean and sigma
-    before pooling.
+    Seeds run on ``pool`` when one is given (``lifetime_sweep`` shares
+    its own); otherwise on a pool of ``workers`` processes opened for
+    this call. Each run's returns are standardized by its own mean and
+    sigma before pooling.
     """
     scenario_dir = None
     runs_dir = None
@@ -248,23 +289,13 @@ def run_scenario(
         runs_dir = scenario_dir / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)
 
-    n_workers = _resolve_workers(workers, len(scenario.seeds))
     payloads = [(scenario, seed, str(runs_dir) if runs_dir else None)
                 for seed in scenario.seeds]
-    results: dict[int, RunArtifacts] = {}
-    if n_workers == 1:
-        for payload in payloads:
-            results[payload[1]] = _run_seed(payload)
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {pool.submit(_run_seed, p): p[1] for p in payloads}
-            for future, seed in futures.items():
-                try:
-                    results[seed] = future.result()
-                except Exception as exc:
-                    raise RuntimeError(f"seed {seed} failed: {exc}") from exc
-
-    runs = [results[seed] for seed in sorted(results)]
+    shared = nullcontext(pool) if pool is not None else worker_pool(
+        workers, len(payloads))
+    with shared as pool:
+        runs = fan_out(_run_seed, payloads, pool, lambda p: f"seed {p[1]}")
+    runs.sort(key=lambda r: r.seed)
 
     accum = stats.MomentAccumulator()
     for r in runs:
@@ -381,30 +412,35 @@ def lifetime_sweep(
     given, its own calibrated waiting-time scale, keeping the trade
     frequency fixed while the book occupancy varies). Emits a
     per-lifetime table of average resting volume per day and pooled
-    kurtosis excess.
+    kurtosis excess. One worker pool serves every calibration probe and
+    every seed run of the sweep.
     """
     lifetimes = list(lifetimes)
     if not lifetimes:
         raise ValueError("no lifetimes to sweep")
+    n_jobs = len(base.seeds)
+    if target_tpm is not None:
+        n_jobs = max(n_jobs, PROBE_SEEDS)
     rows = []
-    for mu_lt in lifetimes:
-        scen = with_lifetime(base, mu_lt)
-        if target_tpm is not None:
-            probe = replace(
-                scen.config,
-                horizon_T=probe_horizon,
-                warmup=min(scen.config.warmup, probe_horizon // 3),
-                snapshot_interval=0,
-            )
-            c = calibrate_c(target_tpm, probe)
-            scen = replace(scen, config=replace(scen.config, c=c))
-        res = run_scenario(scen, out_dir=out_dir, workers=workers)
-        rows.append(SweepRow(
-            mu_lt=float(mu_lt),
-            avg_volume_per_day=res.avg_volume_per_day,
-            excess_kurtosis=res.gamma2,
-            stderr=res.gamma2_stderr,
-        ))
+    with worker_pool(workers, n_jobs) as pool:
+        for mu_lt in lifetimes:
+            scen = with_lifetime(base, mu_lt)
+            if target_tpm is not None:
+                probe = replace(
+                    scen.config,
+                    horizon_T=probe_horizon,
+                    warmup=min(scen.config.warmup, probe_horizon // 3),
+                    snapshot_interval=0,
+                )
+                c = calibrate_c(target_tpm, probe, pool=pool)
+                scen = replace(scen, config=replace(scen.config, c=c))
+            res = run_scenario(scen, out_dir=out_dir, workers=workers, pool=pool)
+            rows.append(SweepRow(
+                mu_lt=float(mu_lt),
+                avg_volume_per_day=res.avg_volume_per_day,
+                excess_kurtosis=res.gamma2,
+                stderr=res.gamma2_stderr,
+            ))
     result = SweepResult(rows=rows)
     if out_dir is not None:
         path = Path(out_dir) / f"{base.name}_sweep.csv"

@@ -8,11 +8,13 @@ A run is fully determined by its config, including the seed.
 
 Also provides trade-frequency calibration: bisection over the waiting
 time scale c until short probe runs hit a target trades-per-minute.
+A measurement's probe seeds run on a process pool when one is given.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,9 +27,12 @@ __all__ = [
     "SimOutput",
     "run",
     "calibrate_c",
+    "fan_out",
     "minute_series",
     "derive_seed",
 ]
+
+PROBE_SEEDS = 5  # probe runs per calibration measurement
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -207,20 +212,52 @@ def minute_series(output: SimOutput, steps_per_minute: int | None = None) -> np.
     return full[output.config.warmup::spm].copy()
 
 
-def _probe_tpm(probe_config: SimConfig, c: float, n_seeds: int) -> float:
+def fan_out(fn, jobs, pool: Executor | None, describe) -> list:
+    """``fn(job)`` for every job, results in job order.
+
+    With a pool the jobs run in its workers, and a job that raises there
+    surfaces as ``RuntimeError("<describe(job)> failed: ...")`` after the
+    jobs not yet started are cancelled. Without one they run in this
+    process and errors pass through unchanged.
+    """
+    if pool is None:
+        return [fn(job) for job in jobs]
+    futures = [pool.submit(fn, job) for job in jobs]
+    results = []
+    for future, job in zip(futures, jobs):
+        try:
+            results.append(future.result())
+        except Exception as exc:
+            for pending in futures:
+                pending.cancel()
+            raise RuntimeError(f"{describe(job)} failed: {exc}") from exc
+    return results
+
+
+def _probe_run(config: SimConfig) -> float:
+    # module level, so pool workers can unpickle it; ``run`` is looked
+    # up at call time, so wrappers installed on this module are seen
+    return run(config).trades_per_minute
+
+
+def _probe_tpm(probe_config: SimConfig, c: float, n_seeds: int,
+               pool: Executor | None) -> float:
+    configs = [replace(probe_config, c=c, seed=derive_seed(probe_config.seed, i))
+               for i in range(n_seeds)]
     tpm = 0.0
-    for i in range(n_seeds):
-        cfg = replace(probe_config, c=c, seed=derive_seed(probe_config.seed, i))
-        tpm += run(cfg).trades_per_minute
+    for seed_tpm in fan_out(_probe_run, configs, pool,
+                            lambda cfg: f"probe seed {cfg.seed} at c={cfg.c!r}"):
+        tpm += seed_tpm  # seed order, so every pool gives the same float
     return tpm / n_seeds
 
 
 def calibrate_c(
     target_tpm: float,
     probe_config: SimConfig,
-    n_seeds: int = 5,
+    n_seeds: int = PROBE_SEEDS,
     rel_tol: float = 0.05,
     max_iter: int = 60,
+    pool: Executor | None = None,
 ) -> float:
     """Find the waiting-time scale c hitting a target trade frequency.
 
@@ -228,7 +265,9 @@ def calibrate_c(
     activations), so bisection applies: widen an initial bracket until
     it straddles the target, then bisect geometrically until the probe
     measurement (averaged over n_seeds derived seeds) lands within
-    rel_tol of the target and the bracket pins c itself.
+    rel_tol of the target and the bracket pins c itself. Each
+    measurement's seeds run on ``pool`` when given (see ``fan_out``);
+    the result is the same float with or without one.
 
     Raises RuntimeError when max_iter probe evaluations are exhausted.
     """
@@ -243,7 +282,7 @@ def calibrate_c(
             raise RuntimeError(
                 f"calibration failed to converge in {max_iter} probe evaluations"
             )
-        return _probe_tpm(probe_config, c, n_seeds)
+        return _probe_tpm(probe_config, c, n_seeds, pool)
 
     lo = hi = probe_config.c
     f_lo = f_hi = measure(lo)

@@ -1,5 +1,6 @@
 """Scenario orchestration, pooling determinism, config files, CLI."""
 
+import multiprocessing
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from lobsim.experiments import (
     with_lifetime,
     write_config,
 )
+from lobsim import simulator
 from lobsim.simulator import SimConfig, derive_seed, run
 
 
@@ -91,6 +93,16 @@ def test_workers_env_override(monkeypatch):
     monkeypatch.delenv(experiments.WORKERS_ENV_VAR)
     assert experiments._resolve_workers(3, 8) == 3
     assert experiments._resolve_workers(16, 4) == 4
+    for bad in ("abc", "-2", "0", "1.5"):
+        monkeypatch.setenv(experiments.WORKERS_ENV_VAR, bad)
+        with pytest.raises(ValueError, match="LOBSIM_WORKERS"):
+            experiments._resolve_workers(None, 8)
+    monkeypatch.delenv(experiments.WORKERS_ENV_VAR)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="^workers must"):
+            experiments._resolve_workers(bad, 8)
+    with pytest.raises(ValueError, match="^workers must"):
+        run_scenario(tiny_scenario(), workers=0)
 
 
 def test_failure_reports_seed():
@@ -101,13 +113,22 @@ def test_failure_reports_seed():
         run_scenario(bad, workers=1)
 
 
-def test_scenario_validation():
+def test_scenario_validation(tmp_path):
     with pytest.raises(ValueError):
         tiny_scenario(seeds=())
     with pytest.raises(ValueError):
         tiny_scenario(seeds=(1, 1))
     with pytest.raises(ValueError):
         replace(tiny_scenario(), outputs=frozenset({"nope"}))
+    with pytest.raises(ValueError, match="impact_volumes"):
+        replace(tiny_scenario(), impact_volumes=(0, -3))
+    for quantiles in ((1.5,), (0.0, 0.5), (float("nan"),)):
+        with pytest.raises(ValueError, match="impact_quantiles"):
+            replace(tiny_scenario(), impact_quantiles=quantiles)
+    path = tmp_path / "zero_volume.cfg"
+    path.write_text("name = z\ntrader.a.count = 5\nimpact_volumes = 0\n")
+    with pytest.raises(ValueError, match="impact_volumes"):
+        scenario_from_config(path)
 
 
 def test_impact_outputs_with_explicit_volumes(tmp_path):
@@ -226,6 +247,40 @@ def test_lifetime_sweep_rows(tmp_path):
     # longer lifetimes accumulate resting volume
     assert result.rows[1].avg_volume_per_day > result.rows[0].avg_volume_per_day
     assert (tmp_path / "tiny_sweep.csv").exists()
+
+
+def test_calibrated_sweep_same_on_pool_and_inline(tmp_path):
+    base = tiny_scenario(horizon_T=12_000, warmup=None)
+    kwargs = dict(target_tpm=4.0, probe_horizon=6_000)
+    inline = lifetime_sweep(base, [120.0, 600.0], out_dir=tmp_path / "w1",
+                            workers=1, **kwargs)
+    pooled = lifetime_sweep(base, [120.0, 600.0], out_dir=tmp_path / "w2",
+                            workers=2, **kwargs)
+    assert pooled.rows == inline.rows
+    a = read_tree(tmp_path / "w1")
+    b = read_tree(tmp_path / "w2")
+    assert a.keys() == b.keys()
+    assert all(a[k] == b[k] for k in a)
+
+
+def test_probe_failure_in_worker_names_seed_and_c(monkeypatch):
+    base = tiny_scenario()
+    bad_seed = derive_seed(base.config.seed, 1)
+    real_run = simulator.run
+
+    def failing_run(config):
+        if config.seed == bad_seed:
+            raise ValueError("probe exploded")
+        return real_run(config)
+
+    # workers are forked after this, so they inherit the patched module
+    monkeypatch.setattr(simulator, "run", failing_run)
+    with pytest.raises(RuntimeError,
+                       match=rf"^probe seed {bad_seed} at c=5\.0 failed: "
+                             "probe exploded"):
+        lifetime_sweep(base, [120.0], workers=2, target_tpm=4.0,
+                       probe_horizon=6_000)
+    assert multiprocessing.active_children() == []
 
 
 def test_lifetime_sweep_single_row():

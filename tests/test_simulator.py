@@ -1,6 +1,7 @@
 """Event loop, determinism, minute sampling and calibration."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -215,6 +216,9 @@ def test_calibrate_hits_target_within_tolerance():
     c = calibrate_c(target, probe, n_seeds=3)
     measured = _mean_tpm(probe, c, n_seeds=6)
     assert measured == pytest.approx(target, rel=0.1)
+    # probe seeds on a pool: the same seeds, summed in the same order
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        assert calibrate_c(target, probe, n_seeds=3, pool=pool) == c
 
 
 def test_calibrate_rejects_bad_target():
