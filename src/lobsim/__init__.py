@@ -4,7 +4,7 @@ Reproduces gap-driven heavy-tailed return distributions: traders with
 random actions place limit orders around the best prices; finite order
 lifetimes thin out the book, gaps form between occupied price levels,
 and large price shifts follow. Submodules: orderbook (matching engine
-and depth analytics), agents (trader draw rules), simulator (event
+and depth snapshots), agents (trader draw rules), simulator (event
 loop, calibration), stats (returns, kurtosis, distributions), impact
 (virtual market impact curves), experiments (seed fan-out, sweeps,
 CSV emission), cli.
@@ -13,7 +13,6 @@ CSV emission), cli.
 from .agents import OrderIntent, TraderKind, TraderSpec, TraderState
 from .impact import ImpactCurve, curve_distance, impact_distribution, quantile_volumes
 from .orderbook import (
-    BookSideEmpty,
     BookSnapshot,
     Order,
     OrderBook,
@@ -23,7 +22,7 @@ from .orderbook import (
     price_to_tick,
     tick_to_price,
 )
-from .simulator import SimConfig, SimOutput, calibrate_c, derive_seed, minute_series, run
+from .simulator import SimConfig, SimOutput, calibrate_c, derive_seed, run
 from .experiments import (
     Scenario,
     ScenarioResult,
@@ -39,7 +38,6 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BookSideEmpty",
     "BookSnapshot",
     "ImpactCurve",
     "Order",
@@ -63,7 +61,6 @@ __all__ = [
     "derive_seed",
     "impact_distribution",
     "lifetime_sweep",
-    "minute_series",
     "price_to_tick",
     "quantile_volumes",
     "run",

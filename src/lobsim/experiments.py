@@ -30,8 +30,9 @@ import numpy as np
 
 from . import stats
 from .agents import TraderKind, TraderSpec
-from .impact import ImpactCurve, impact_distribution, quantile_volumes
-from .orderbook import Side, walk_depth
+from .impact import (ImpactCurve, impact_distribution, quantile_volumes,
+                     walk_depth)
+from .orderbook import Side
 from .simulator import (PROBE_SEEDS, SimConfig, SimOutput, calibrate_c,
                         derive_seed, fan_out, run)
 

@@ -13,23 +13,21 @@ two volumes' curves coincide only where both volumes end on the same
 price level in nearly every snapshot. Two saturated (censored) walks
 both end on the deepest level: their curves coincide trivially and
 show nothing about gaps.
-
-The walk itself is ``orderbook.walk_depth``, the package's one
-cumulative-depth walk; it lives beside ``BookSnapshot`` so that the
-book's own ``impact_shift`` can use it without importing this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .orderbook import BookSnapshot, Side, walk_depth
+from .orderbook import BookSnapshot, Side
 from .stats import estimate_ccdf
 
 __all__ = [
     "ImpactCurve",
+    "walk_depth",
     "quantile_volumes",
     "impact_distribution",
     "curve_distance",
@@ -51,15 +49,65 @@ class ImpactCurve:
         return estimate_ccdf(self.samples)
 
 
-def quantile_volumes(trade_tape, quantiles) -> list[int]:
-    """Empirical quantiles of per-trade share counts, as integers >= 1.
+def walk_depth(
+    snapshots: Sequence[BookSnapshot],
+    side: Side,
+    volume: int,
+    saturate: bool = False,
+) -> tuple[np.ndarray, int]:
+    """Virtual price shifts of a ``side`` market order of ``volume``.
 
-    Accepts trade records or bare share counts.
+    Walks cumulative depth away from the best price on the opposite
+    side of the order's flow: a buy consumes asks, a sell consumes
+    bids. The shift is the distance, in price units, from the best
+    level to the level holding the ``volume``-th share. When a side
+    holds less than ``volume`` in total the snapshot is censored: it
+    yields no shift by default, or the full-depth walk (shift to the
+    deepest occupied level, where an actual market order's last fill
+    would land) with ``saturate=True``. Empty sides are censored and
+    never yield a shift.
+
+    Returns the shifts in snapshot order and the censored count. All
+    snapshots are walked at once: their sides are concatenated under
+    one cumulative sum, and snapshot i's walk is one search for
+    ``base_i + volume``, where ``base_i`` counts the shares before it.
     """
-    shares = np.asarray(
-        [t.shares if hasattr(t, "shares") else t for t in trade_tape],
-        dtype=np.float64,
-    )
+    if volume < 1:
+        raise ValueError("volume must be >= 1")
+    if not snapshots:
+        return np.empty(0), 0
+    if side is Side.BUY:
+        ticks = [s.ask_ticks for s in snapshots]
+        shares = [s.ask_shares for s in snapshots]
+    else:
+        ticks = [s.bid_ticks for s in snapshots]
+        shares = [s.bid_shares for s in snapshots]
+    sizes = np.array([t.size for t in ticks], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # snapshot i occupies positions [starts[i], ends[i])
+    # cum[k]: shares at positions before k; the share a walk needs lies
+    # at the position before the first k with cum[k] >= base_i + volume
+    cum = np.concatenate([np.zeros(1, dtype=np.int64), *shares])
+    np.cumsum(cum, out=cum)
+    last = np.searchsorted(cum, cum[starts] + volume, side="left") - 1
+    filled = last < ends
+    if saturate:
+        keep = sizes > 0
+        last = np.minimum(last, ends - 1)
+    else:
+        keep = filled
+    # the sums are no longer needed: their buffer takes the ticks, which
+    # keeps the walk's peak memory at one array of levels
+    flat_ticks = np.concatenate(ticks, out=cum[1:])
+    tick_size = np.array([s.tick_size for s in snapshots])
+    shifts = (np.abs(flat_ticks[last[keep]] - flat_ticks[starts[keep]])
+              * tick_size[keep])
+    return shifts, len(snapshots) - int(np.count_nonzero(filled))
+
+
+def quantile_volumes(shares, quantiles) -> list[int]:
+    """Empirical quantiles of per-trade share counts, as integers >= 1."""
+    shares = np.asarray(shares, dtype=np.float64)
     if shares.size == 0:
         raise ValueError("empty trade tape")
     qs = list(quantiles)

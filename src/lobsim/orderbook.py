@@ -9,18 +9,13 @@ heap over (expires_step, order_id).
 
 Supports crossing limit orders (fills execute at the resting order's
 tick, remainder rests), market orders (unfilled remainder is discarded),
-end-of-step expiry, depth analytics (cumulative supply/demand per tick)
-and non-destructive "virtual impact" queries: the price shift a market
-order of a given size would cause, without executing it. ``walk_depth``
-is the one cumulative-depth walk behind every impact query, on a live
-book or on any number of recorded snapshots at once.
+end-of-step expiry and per-level depth snapshots.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,10 +26,8 @@ __all__ = [
     "Order",
     "Trade",
     "BookSnapshot",
-    "walk_depth",
     "OrderBook",
     "OrderRejected",
-    "BookSideEmpty",
     "tick_to_price",
     "price_to_tick",
 ]
@@ -51,10 +44,6 @@ class Side(Enum):
 
 class OrderRejected(ValueError):
     """Order failed admission checks (bad id, shares or limit)."""
-
-
-class BookSideEmpty(LookupError):
-    """Depth query on a side with no resting orders (no best price)."""
 
 
 def tick_to_price(tick: int, tick_size: float) -> float:
@@ -115,62 +104,6 @@ class BookSnapshot:
     @property
     def best_ask(self) -> int | None:
         return int(self.ask_ticks[0]) if self.ask_ticks.size else None
-
-
-def walk_depth(
-    snapshots: Sequence[BookSnapshot],
-    side: Side,
-    volume: int,
-    saturate: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Virtual price shifts of a ``side`` market order of ``volume``.
-
-    Walks cumulative depth away from the best price on the opposite
-    side of the order's flow: a buy consumes asks, a sell consumes
-    bids. The shift is the distance, in price units, from the best
-    level to the level holding the ``volume``-th share. When a side
-    holds less than ``volume`` in total the snapshot is censored: it
-    yields no shift by default, or the full-depth walk (shift to the
-    deepest occupied level, where an actual market order's last fill
-    would land) with ``saturate=True``. Empty sides are censored and
-    never yield a shift.
-
-    Returns the shifts in snapshot order and the censored count. All
-    snapshots are walked at once: their sides are concatenated under
-    one cumulative sum, and snapshot i's walk is one search for
-    ``base_i + volume``, where ``base_i`` counts the shares before it.
-    """
-    if volume < 1:
-        raise ValueError("volume must be >= 1")
-    if not snapshots:
-        return np.empty(0), 0
-    if side is Side.BUY:
-        ticks = [s.ask_ticks for s in snapshots]
-        shares = [s.ask_shares for s in snapshots]
-    else:
-        ticks = [s.bid_ticks for s in snapshots]
-        shares = [s.bid_shares for s in snapshots]
-    sizes = np.array([t.size for t in ticks], dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes  # snapshot i occupies positions [starts[i], ends[i])
-    # cum[k]: shares at positions before k; the share a walk needs lies
-    # at the position before the first k with cum[k] >= base_i + volume
-    cum = np.concatenate([np.zeros(1, dtype=np.int64), *shares])
-    np.cumsum(cum, out=cum)
-    last = np.searchsorted(cum, cum[starts] + volume, side="left") - 1
-    filled = last < ends
-    if saturate:
-        keep = sizes > 0
-        last = np.minimum(last, ends - 1)
-    else:
-        keep = filled
-    # the sums are no longer needed: their buffer takes the ticks, which
-    # keeps the walk's peak memory at one array of levels
-    flat_ticks = np.concatenate(ticks, out=cum[1:])
-    tick_size = np.array([s.tick_size for s in snapshots])
-    shifts = (np.abs(flat_ticks[last[keep]] - flat_ticks[starts[keep]])
-              * tick_size[keep])
-    return shifts, len(snapshots) - int(np.count_nonzero(filled))
 
 
 @dataclass
@@ -248,7 +181,7 @@ class OrderBook:
         self._last_id = 0
 
     # ------------------------------------------------------------------
-    # best prices / depth
+    # best prices / resting totals
     # ------------------------------------------------------------------
 
     def best_bid(self) -> int | None:
@@ -256,13 +189,6 @@ class OrderBook:
 
     def best_ask(self) -> int | None:
         return self._asks.best()
-
-    def midpoint(self) -> float | None:
-        """Mean of best bid and ask prices; None unless both sides rest."""
-        bid, ask = self._bids.best(), self._asks.best()
-        if bid is None or ask is None:
-            return None
-        return (bid + ask) / 2 * self.tick_size
 
     def resting_shares(self) -> int:
         return self._bids.total_shares + self._asks.total_shares
@@ -406,42 +332,8 @@ class OrderBook:
         return removed
 
     # ------------------------------------------------------------------
-    # depth analytics
+    # depth snapshots
     # ------------------------------------------------------------------
-
-    def supply(self, limit: int) -> int:
-        """Total ask shares available up to ``limit``, from the best ask."""
-        best = self._asks.best()
-        if best is None:
-            raise BookSideEmpty("ask side empty: no best price")
-        if limit < best:
-            raise ValueError("supply limit below best ask")
-        shares = self._asks.level_shares
-        return sum(shares[t] for t in self._asks.levels if t <= limit)
-
-    def demand(self, limit: int) -> int:
-        """Total bid shares available down to ``limit``, from the best bid."""
-        best = self._bids.best()
-        if best is None:
-            raise BookSideEmpty("bid side empty: no best price")
-        if limit > best:
-            raise ValueError("demand limit above best bid")
-        shares = self._bids.level_shares
-        return sum(shares[t] for t in self._bids.levels if t >= limit)
-
-    def impact_shift(
-        self, side: Side, volume: int, saturate: bool = False
-    ) -> float | None:
-        """Virtual price shift of a market order, without executing it.
-
-        For a buy of size v: the distance (in price units) from the best
-        ask to the cheapest tick whose cumulative supply covers v; the
-        mirror image for sells. When the side's total depth is below v
-        the observation is censored: None by default, the full-depth
-        walk with ``saturate=True``. Empty sides always yield None.
-        """
-        shifts, _ = walk_depth([self.snapshot(0)], side, volume, saturate)
-        return float(shifts[0]) if shifts.size else None
 
     def snapshot(self, step: int) -> BookSnapshot:
         """Per-level depth snapshot, best level first on both sides."""

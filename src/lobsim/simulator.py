@@ -28,7 +28,6 @@ __all__ = [
     "run",
     "calibrate_c",
     "fan_out",
-    "minute_series",
     "derive_seed",
 ]
 
@@ -199,19 +198,6 @@ def run(config: SimConfig) -> SimOutput:
     )
 
 
-def minute_series(output: SimOutput, steps_per_minute: int | None = None) -> np.ndarray:
-    """Price samples every steps_per_minute steps, warmup excluded.
-
-    Step 0 carries the start price, so a warmup of zero samples steps
-    0, spm, 2*spm, ... up to the horizon.
-    """
-    spm = output.config.steps_per_minute if steps_per_minute is None else steps_per_minute
-    if spm < 1:
-        raise ValueError("steps_per_minute must be >= 1")
-    full = np.concatenate(([output.config.start_price], output.price_series))
-    return full[output.config.warmup::spm].copy()
-
-
 def fan_out(fn, jobs, pool: Executor | None, describe) -> list:
     """``fn(job)`` for every job, results in job order.
 
@@ -273,6 +259,8 @@ def calibrate_c(
     """
     if target_tpm <= 0:
         raise ValueError("target_tpm must be positive")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     evals = 0
 
     def measure(c: float) -> float:

@@ -7,10 +7,11 @@ corrections). Tail weight is measured by kurtosis excess, the fourth
 standardized moment minus 3: zero for a normal, positive for heavier
 tails.
 
-Includes a mergeable central-moment accumulator (up to the fourth
-moment) so per-run statistics can be pooled across seeds without
-holding every sample, plus histogram / empirical-CCDF estimators and a
-log-normal reference fit for volatility distributions.
+Moments come from one kernel, a mergeable central-moment accumulator
+(up to the fourth moment): it gives per-run kurtosis, and pools
+statistics across seeds without holding every sample. Also provides
+histogram / empirical-CCDF estimators and a log-normal reference fit
+for volatility distributions.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ import numpy as np
 
 __all__ = [
     "ReturnSeries",
-    "Moments",
     "Histogram",
     "MomentAccumulator",
     "returns",
     "normalize",
-    "moments",
     "excess_kurtosis",
     "moving_volatility",
     "estimate_pdf",
@@ -35,6 +34,8 @@ __all__ = [
     "ks_statistic",
 ]
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
+
 
 @dataclass(frozen=True)
 class ReturnSeries:
@@ -42,14 +43,6 @@ class ReturnSeries:
 
     values: np.ndarray
     delta_t: int
-
-
-@dataclass(frozen=True)
-class Moments:
-    mean: float
-    std: float
-    excess_kurtosis: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -82,22 +75,6 @@ def returns(prices: np.ndarray, delta_t: int) -> ReturnSeries:
     return ReturnSeries(values=vals, delta_t=delta_t)
 
 
-def moments(values: np.ndarray) -> Moments:
-    """Population mean, standard deviation and kurtosis excess."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 2:
-        raise ValueError("need at least 2 samples for moments")
-    mean = float(values.mean())
-    centered = values - mean
-    var = float(np.mean(centered * centered))
-    std = float(np.sqrt(var))
-    if std == 0.0:
-        kurt = float("nan")
-    else:
-        kurt = float(np.mean(centered**4) / var**2 - 3.0)
-    return Moments(mean=mean, std=std, excess_kurtosis=kurt, count=values.size)
-
-
 def normalize(rs: ReturnSeries) -> ReturnSeries:
     """Standardize returns to sample mean 0 and standard deviation 1."""
     vals = np.asarray(rs.values, dtype=np.float64)
@@ -113,11 +90,10 @@ def excess_kurtosis(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=np.float64)
     if values.size < 4:
         raise ValueError("need at least 4 samples for kurtosis")
-    centered = values - values.mean()
-    var = np.mean(centered * centered)
-    if var == 0.0:
-        raise ValueError("degenerate series: zero variance")
-    return float(np.mean(centered**4) / var**2 - 3.0)
+    kurt = MomentAccumulator().add(values).excess_kurtosis
+    if np.isnan(kurt):
+        raise ValueError("degenerate series: zero or underflowing variance")
+    return kurt
 
 
 def moving_volatility(rs: ReturnSeries, window: int) -> np.ndarray:
@@ -278,15 +254,9 @@ class MomentAccumulator:
 
     @property
     def excess_kurtosis(self) -> float:
-        # undefined, as in moments(), when the squared variance is zero,
-        # including when it underflows for a tiny nonzero spread
+        # undefined when the squared sum of squares underflows (zero or
+        # subnormal, where it and m4 have lost their precision)
         m2_squared = self.m2 * self.m2
-        if self.n == 0 or m2_squared == 0.0:
+        if self.n == 0 or m2_squared < _TINY:
             return float("nan")
         return self.n * self.m4 / m2_squared - 3.0
-
-    def to_moments(self) -> Moments:
-        return Moments(
-            mean=self.mean, std=self.std,
-            excess_kurtosis=self.excess_kurtosis, count=self.n,
-        )

@@ -24,7 +24,8 @@ from lobsim.experiments import (
     lifetime_sweep,
     run_scenario,
 )
-from lobsim.impact import curve_distance, impact_distribution, quantile_volumes
+from lobsim.impact import (curve_distance, impact_distribution,
+                           quantile_volumes, walk_depth)
 from lobsim.orderbook import Order, OrderBook, Side
 from lobsim.simulator import SimConfig, calibrate_c, derive_seed, run
 
@@ -390,6 +391,11 @@ def test_criterion_7_volatility_lognormal(scenario_120):
 # ----------------------------------------------------------------------
 
 
+def _ask_supply(snap, limit: int) -> int:
+    """Ask shares resting at or below ``limit``."""
+    return int(snap.ask_shares[snap.ask_ticks <= limit].sum())
+
+
 def test_criterion_8_statistical_kernels():
     t0 = time.perf_counter()
     rng = np.random.default_rng(818181)
@@ -412,12 +418,12 @@ def test_criterion_8_statistical_kernels():
             break
         best = int(snap.ask_ticks[0])
         for v in (1, max(1, total // 2), total):
-            shift = book.impact_shift(Side.BUY, v)
-            level = best + int(round(shift / book.tick_size))
-            if book.supply(level) < v:  # inverse consistency, upper
+            shifts, _ = walk_depth([snap], Side.BUY, v)
+            level = best + int(round(float(shifts[0]) / book.tick_size))
+            if _ask_supply(snap, level) < v:  # inverse consistency, upper
                 depth_ok = False
             prev = [t for t in snap.ask_ticks.tolist() if t < level]
-            if prev and book.supply(prev[-1]) >= v:  # and lower
+            if prev and _ask_supply(snap, prev[-1]) >= v:  # and lower
                 depth_ok = False
         if not depth_ok:
             break

@@ -386,6 +386,13 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_calibrate_bad_probe_seeds(demo_config, capsys):
+    for n in ("0", "-1"):
+        assert main(["calibrate", str(demo_config), "--target-tpm", "5.4",
+                     "--probe-seeds", n]) == 1
+        assert "n_seeds" in capsys.readouterr().err
+
+
 def test_cli_sweep(demo_config, capsys):
     code = main(["sweep", str(demo_config), "--lifetimes", "120",
                  "--workers", "1"])

@@ -9,14 +9,9 @@ from lobsim.impact import (
     impact_distribution,
     quantile_volumes,
 )
-from lobsim.orderbook import Order, OrderBook, Side, Trade
+from lobsim.orderbook import Order, OrderBook, Side
 
 from .helpers import build_random_book
-
-
-def _trade(shares: int) -> Trade:
-    return Trade(step=1, tick=1000, shares=shares, aggressor_id=1,
-                 resting_id=2, aggressor_side=Side.BUY)
 
 
 def _snapshots(rng, n, **book_kwargs):
@@ -30,13 +25,12 @@ def _snapshots(rng, n, **book_kwargs):
 
 
 def test_quantiles_of_identical_sizes():
-    tape = [_trade(7)] * 25
-    assert quantile_volumes(tape, (0.1, 0.5, 0.9, 0.99)) == [7, 7, 7, 7]
+    assert quantile_volumes([7] * 25, (0.1, 0.5, 0.9, 0.99)) == [7, 7, 7, 7]
 
 
 def test_quantiles_hand_computed():
-    tape = [_trade(s) for s in (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)]
-    shares = sorted(t.shares for t in tape)
+    tape = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+    shares = sorted(tape)
 
     def hand_quantile(q):  # linear interpolation at position (n-1) q
         pos = (len(shares) - 1) * q
@@ -54,13 +48,9 @@ def test_quantiles_validation():
     with pytest.raises(ValueError):
         quantile_volumes([], (0.5,))
     with pytest.raises(ValueError):
-        quantile_volumes([_trade(3)], (0.0,))
+        quantile_volumes([3], (0.0,))
     with pytest.raises(ValueError):
-        quantile_volumes([_trade(3)], (1.0,))
-
-
-def test_quantiles_accept_bare_share_counts():
-    assert quantile_volumes([2, 2, 2, 2], (0.5,)) == [2]
+        quantile_volumes([3], (1.0,))
 
 
 # ----------------------------------------------------------------------
@@ -143,30 +133,36 @@ def test_curves_match_destructive_execution(rng, side, censored):
     """Each pooled shift equals a market order run on a copied book.
 
     The second snapshot list holds books of 0-40 orders, so some sides
-    are empty: the first snapshot's and some in the middle.
+    are empty: the first snapshot's and some in the middle. Besides the
+    70th-percentile depth, each list is walked for 1 share, and for a
+    third of, all of and 5 shares past one snapshot's exact depth.
     """
     deep = _snapshots(rng, 25, n_orders=35)
     n_orders = rng.integers(0, 41, 30)
     n_orders[[0, 12, 13, 21]] = 0
     shallow = [build_random_book(rng, n_orders=int(n)).snapshot(step=i)
                for i, n in enumerate(n_orders)]
-    for snaps in (deep, shallow):
+    for snaps in (deep, shallow, _snapshots(rng, 25, n_orders=50)):
         depths = [
             int((s.ask_shares if side is Side.BUY else s.bid_shares).sum())
             for s in snaps
         ]
-        v = int(np.percentile(depths, 70))
-        curve = impact_distribution(snaps, side, v, censored=censored)
-        realized = []
-        for snap, depth in zip(snaps, depths):
-            if depth == 0 or (censored == "exclude" and depth < v):
-                continue
-            book = _rebuild(snap)
-            pre_best = book.best_ask() if side is Side.BUY else book.best_bid()
-            trades, _ = book.submit_market(side, v, step=0)
-            realized.append(abs(trades[-1].tick - pre_best) * snap.tick_size)
-        np.testing.assert_allclose(curve.samples, np.array(realized))
-        assert curve.censored_count == sum(d < v for d in depths)
+        total = sorted(depths)[len(depths) // 2]
+        volumes = (int(np.percentile(depths, 70)), 1, max(1, total // 3),
+                   total, total + 5)
+        for v in volumes:
+            curve = impact_distribution(snaps, side, v, censored=censored)
+            realized = []
+            for snap, depth in zip(snaps, depths):
+                if depth == 0 or (censored == "exclude" and depth < v):
+                    continue
+                book = _rebuild(snap)
+                pre_best = (book.best_ask() if side is Side.BUY
+                            else book.best_bid())
+                trades, _ = book.submit_market(side, v, step=0)
+                realized.append(abs(trades[-1].tick - pre_best) * snap.tick_size)
+            np.testing.assert_allclose(curve.samples, np.array(realized))
+            assert curve.censored_count == sum(d < v for d in depths)
 
 
 # ----------------------------------------------------------------------

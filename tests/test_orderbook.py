@@ -1,12 +1,12 @@
-"""Matching engine, expiry, depth analytics and the flat-list oracle."""
+"""Matching engine, expiry, depth snapshots and the flat-list oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobsim.impact import walk_depth
 from lobsim.orderbook import (
-    BookSideEmpty,
     Order,
     OrderBook,
     OrderRejected,
@@ -46,7 +46,8 @@ def test_crossing_buy_fills_at_resting_price():
     t = trades[0]
     assert (t.tick, t.shares, t.aggressor_id, t.resting_id) == (1003, 5, 2, 1)
     assert t.aggressor_side is Side.BUY
-    assert book.supply(1003) == 2  # remainder of the resting order
+    snap = book.snapshot(step=1)  # remainder of the resting order
+    assert (snap.ask_ticks.tolist(), snap.ask_shares.tolist()) == ([1003], [2])
 
 
 def test_crossing_remainder_rests_at_own_limit():
@@ -192,7 +193,7 @@ def test_expiry_conservation(rng):
 
 
 # ----------------------------------------------------------------------
-# best prices and midpoint
+# best prices
 # ----------------------------------------------------------------------
 
 
@@ -200,14 +201,6 @@ def test_empty_book_has_no_best_prices():
     book = OrderBook()
     assert book.best_bid() is None
     assert book.best_ask() is None
-    assert book.midpoint() is None
-
-
-def test_midpoint_arithmetic():
-    book = OrderBook(tick_size=0.1)
-    book.submit(limit(1, Side.BUY, 999, 1), step=0)
-    book.submit(limit(2, Side.SELL, 1001, 1), step=0)
-    assert book.midpoint() == pytest.approx(100.0)
 
 
 def test_best_ask_advances_after_level_cleared():
@@ -220,120 +213,56 @@ def test_best_ask_advances_after_level_cleared():
 
 
 # ----------------------------------------------------------------------
-# supply / demand
+# impact shift of a live book
 # ----------------------------------------------------------------------
 
 
-def test_supply_at_best_ask_is_best_level_volume():
-    book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5), step=0)
-    book.submit(limit(2, Side.SELL, 1003, 2), step=0)
-    book.submit(limit(3, Side.SELL, 1008, 9), step=0)
-    assert book.supply(1003) == 7
-    assert book.supply(10**6) == 16  # beyond deepest level: full side
-
-
-def test_supply_demand_empty_side_raises():
-    book = OrderBook()
-    with pytest.raises(BookSideEmpty):
-        book.supply(1000)
-    with pytest.raises(BookSideEmpty):
-        book.demand(1000)
-
-
-def test_supply_demand_match_flat_sum_oracle(rng):
-    book = build_random_book(rng, n_orders=80)
-    snap = book.snapshot(step=0)
-    asks = dict(zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()))
-    bids = dict(zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()))
-    a, b = book.best_ask(), book.best_bid()
-    for l in range(a, max(asks) + 2):
-        assert book.supply(l) == sum(v for t, v in asks.items() if a <= t <= l)
-    for l in range(min(bids) - 1, b + 1):
-        assert book.demand(l) == sum(v for t, v in bids.items() if l <= t <= b)
-
-
-def test_supply_below_best_ask_rejected():
-    book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5), step=0)
-    with pytest.raises(ValueError):
-        book.supply(1002)
-
-
-# ----------------------------------------------------------------------
-# impact shift
-# ----------------------------------------------------------------------
+def impact_shift(book, side, volume, saturate=False):
+    """The book's virtual shift, or None when the walk is censored."""
+    shifts, _ = walk_depth([book.snapshot(0)], side, volume, saturate)
+    return float(shifts[0]) if shifts.size else None
 
 
 def test_impact_absorbed_at_best_is_zero():
     book = OrderBook()
     book.submit(limit(1, Side.SELL, 1003, 5), step=0)
     book.submit(limit(2, Side.SELL, 1010, 5), step=0)
-    assert book.impact_shift(Side.BUY, 5) == 0.0
+    assert impact_shift(book, Side.BUY, 5) == 0.0
 
 
 def test_impact_full_depth_walk():
     book = OrderBook(tick_size=0.1)
     book.submit(limit(1, Side.SELL, 1003, 5), step=0)
     book.submit(limit(2, Side.SELL, 1010, 5), step=0)
-    assert book.impact_shift(Side.BUY, 10) == pytest.approx(0.7)
-    assert book.impact_shift(Side.BUY, 11) is None
-    assert book.impact_shift(Side.BUY, 11, saturate=True) == pytest.approx(0.7)
+    assert impact_shift(book, Side.BUY, 10) == pytest.approx(0.7)
+    assert impact_shift(book, Side.BUY, 11) is None
+    assert impact_shift(book, Side.BUY, 11, saturate=True) == pytest.approx(0.7)
 
 
 def test_impact_empty_side_absent():
     book = OrderBook()
-    assert book.impact_shift(Side.SELL, 1) is None
-    assert book.impact_shift(Side.SELL, 1, saturate=True) is None
-
-
-def _rebuild_book_from_snapshot(snap) -> OrderBook:
-    book = OrderBook(snap.tick_size)
-    oid = 0
-    for tick, shares in zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()):
-        oid += 1
-        book.submit(Order(oid, 0, Side.BUY, tick, shares, 0, 10**9), 0)
-    for tick, shares in zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()):
-        oid += 1
-        book.submit(Order(oid, 0, Side.SELL, tick, shares, 0, 10**9), 0)
-    return book
-
-
-@pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
-def test_impact_matches_destructive_execution(rng, side):
-    """Virtual shift equals a market order's last fill tick minus pre-trade best."""
-    for trial in range(25):
-        book = build_random_book(rng, n_orders=50)
-        snap = book.snapshot(step=0)
-        total = int(
-            (snap.ask_shares if side is Side.BUY else snap.bid_shares).sum()
-        )
-        pre_best = book.best_ask() if side is Side.BUY else book.best_bid()
-        for v in (1, max(1, total // 3), total, total + 5):
-            virtual = book.impact_shift(side, v, saturate=True)
-            scratch = _rebuild_book_from_snapshot(snap)
-            trades, _ = scratch.submit_market(side, v, step=0)
-            realized = abs(trades[-1].tick - pre_best) * book.tick_size
-            assert virtual == pytest.approx(realized)
-            if v <= total:
-                assert book.impact_shift(side, v) == pytest.approx(realized)
-            else:
-                assert book.impact_shift(side, v) is None
+    assert impact_shift(book, Side.SELL, 1) is None
+    assert impact_shift(book, Side.SELL, 1, saturate=True) is None
 
 
 def test_impact_monotone_and_inverse_consistent(rng):
     book = build_random_book(rng, n_orders=60)
-    total = book.supply(10**6)
+    snap = book.snapshot(step=0)
+
+    def supply(limit):  # ask shares resting at or below ``limit``
+        return int(snap.ask_shares[snap.ask_ticks <= limit].sum())
+
+    total = supply(10**6)
     prev = -1.0
     for v in range(1, total + 1):
-        ds = book.impact_shift(Side.BUY, v)
+        ds = impact_shift(book, Side.BUY, v)
         assert ds is not None and ds >= prev
         prev = ds
         l_tick = book.best_ask() + int(round(ds / book.tick_size))
-        assert book.supply(l_tick) >= v
+        assert supply(l_tick) >= v
         below = l_tick - 1
         if below >= book.best_ask():
-            assert book.supply(below) < v
+            assert supply(below) < v
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from lobsim.agents import TraderSpec
+from lobsim.experiments import post_warmup_prices
 from lobsim.simulator import (
     SimConfig,
     SimOutput,
     calibrate_c,
     derive_seed,
-    minute_series,
     run,
 )
 
@@ -137,9 +137,13 @@ def _manual_output(prices, warmup=0, spm=60) -> SimOutput:
     )
 
 
+def _minute_series(out):
+    return post_warmup_prices(out)[::out.config.steps_per_minute]
+
+
 def test_minute_series_counts():
     out = _manual_output([100.0 + i for i in range(1, 601)])
-    samples = minute_series(out)
+    samples = _minute_series(out)
     assert samples.shape == (11,)  # steps 0, 60, ..., 600
     assert samples[0] == 100.0  # start price at step 0
     assert samples[1] == 160.0  # price at end of step 60
@@ -147,32 +151,22 @@ def test_minute_series_counts():
 
 def test_minute_series_constant():
     out = _manual_output([100.0] * 240)
-    assert (minute_series(out) == 100.0).all()
+    assert (_minute_series(out) == 100.0).all()
 
 
 def test_minute_series_quiet_minute_carries_forward():
     # a trade-free minute repeats the prior minute's sample
     prices = [101.0] * 60 + [101.0] * 60 + [102.0] * 60
     out = _manual_output(prices)
-    samples = minute_series(out)
+    samples = _minute_series(out)
     assert samples.tolist() == [100.0, 101.0, 101.0, 102.0]
 
 
 def test_minute_series_excludes_warmup():
     out = _manual_output([100.0 + i for i in range(1, 601)], warmup=120)
-    samples = minute_series(out)
+    samples = _minute_series(out)
     assert samples.shape == (9,)  # steps 120, 180, ..., 600
     assert samples[0] == 220.0
-
-
-def test_run_matches_minute_series_pipeline():
-    from lobsim import stats
-    from lobsim.experiments import post_warmup_prices
-
-    out = run(small_config())
-    a = stats.returns(post_warmup_prices(out), 60)
-    b = stats.returns(minute_series(out), 1)
-    np.testing.assert_array_equal(a.values, b.values)
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +218,9 @@ def test_calibrate_hits_target_within_tolerance():
 def test_calibrate_rejects_bad_target():
     with pytest.raises(ValueError):
         calibrate_c(0.0, small_config())
+    for n_seeds in (0, -1):
+        with pytest.raises(ValueError, match="n_seeds"):
+            calibrate_c(5.4, small_config(), n_seeds=n_seeds)
 
 
 def test_calibrate_iteration_cap():
