@@ -245,6 +245,40 @@ def test_impact_empty_side_absent():
     assert impact_shift(book, Side.SELL, 1, saturate=True) is None
 
 
+def _rebuild_book_from_snapshot(snap) -> OrderBook:
+    book = OrderBook(snap.tick_size)
+    oid = 0
+    for tick, shares in zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()):
+        oid += 1
+        book.submit(Order(oid, 0, Side.BUY, tick, shares, 0, 10**9), 0)
+    for tick, shares in zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()):
+        oid += 1
+        book.submit(Order(oid, 0, Side.SELL, tick, shares, 0, 10**9), 0)
+    return book
+
+
+@pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
+def test_impact_matches_destructive_execution(rng, side):
+    """Virtual shift equals a market order's last fill tick minus pre-trade best."""
+    for trial in range(25):
+        book = build_random_book(rng, n_orders=50)
+        snap = book.snapshot(step=0)
+        total = int(
+            (snap.ask_shares if side is Side.BUY else snap.bid_shares).sum()
+        )
+        pre_best = book.best_ask() if side is Side.BUY else book.best_bid()
+        for v in (1, max(1, total // 3), total, total + 5):
+            virtual = impact_shift(book, side, v, saturate=True)
+            scratch = _rebuild_book_from_snapshot(snap)
+            trades, _ = scratch.submit_market(side, v, step=0)
+            realized = abs(trades[-1].tick - pre_best) * book.tick_size
+            assert virtual == pytest.approx(realized)
+            if v <= total:
+                assert impact_shift(book, side, v) == pytest.approx(realized)
+            else:
+                assert impact_shift(book, side, v) is None
+
+
 def test_impact_monotone_and_inverse_consistent(rng):
     book = build_random_book(rng, n_orders=60)
     snap = book.snapshot(step=0)
