@@ -15,7 +15,8 @@ from .experiments import (
     scenario_from_config,
     worker_pool,
 )
-from .simulator import calibrate_c, derive_seed
+from .simulator import (PROBE_HORIZON, PROBE_SEEDS, SimConfig, calibrate_c,
+                        calibration_probe, derive_seed)
 
 PAPER_SEEDS = 5000
 PAPER_HORIZON = 500_000
@@ -65,19 +66,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.config:
-        scenario = scenario_from_config(args.config)
-        probe = scenario.config
-    else:
-        from .simulator import SimConfig
-
-        probe = SimConfig()
-    probe = replace(
-        probe,
-        horizon_T=args.probe_horizon,
-        warmup=min(probe.warmup, args.probe_horizon // 3),
-        snapshot_interval=0,
-    )
+    config = (scenario_from_config(args.config).config if args.config
+              else SimConfig())
+    probe = calibration_probe(config, args.probe_horizon)
     with worker_pool(None, args.probe_seeds) as pool:
         c = calibrate_c(args.target_tpm, probe, n_seeds=args.probe_seeds,
                         pool=pool)
@@ -140,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="calibrate waiting-time scale c")
     p_cal.add_argument("config", nargs="?", default=None)
     p_cal.add_argument("--target-tpm", type=float, required=True)
-    p_cal.add_argument("--probe-horizon", type=int, default=30_000)
-    p_cal.add_argument("--probe-seeds", type=int, default=5)
+    p_cal.add_argument("--probe-horizon", type=int, default=PROBE_HORIZON)
+    p_cal.add_argument("--probe-seeds", type=int, default=PROBE_SEEDS)
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_imp = sub.add_parser("impact", help="virtual market impact curves")

@@ -33,8 +33,9 @@ from .agents import TraderKind, TraderSpec
 from .impact import (ImpactCurve, impact_distribution, quantile_volumes,
                      walk_depth)
 from .orderbook import Side
-from .simulator import (PROBE_SEEDS, SimConfig, SimOutput, calibrate_c,
-                        derive_seed, fan_out, run)
+from .simulator import (PROBE_HORIZON, PROBE_SEEDS, SimConfig, SimOutput,
+                        calibrate_c, calibration_probe, derive_seed, fan_out,
+                        run)
 
 __all__ = [
     "Scenario",
@@ -405,7 +406,7 @@ def lifetime_sweep(
     out_dir: str | Path | None = None,
     workers: int | None = None,
     target_tpm: float | None = None,
-    probe_horizon: int = 30_000,
+    probe_horizon: int = PROBE_HORIZON,
 ) -> SweepResult:
     """Run the base scenario across order lifetimes.
 
@@ -427,12 +428,7 @@ def lifetime_sweep(
         for mu_lt in lifetimes:
             scen = with_lifetime(base, mu_lt)
             if target_tpm is not None:
-                probe = replace(
-                    scen.config,
-                    horizon_T=probe_horizon,
-                    warmup=min(scen.config.warmup, probe_horizon // 3),
-                    snapshot_interval=0,
-                )
+                probe = calibration_probe(scen.config, probe_horizon)
                 c = calibrate_c(target_tpm, probe, pool=pool)
                 scen = replace(scen, config=replace(scen.config, c=c))
             res = run_scenario(scen, out_dir=out_dir, workers=workers, pool=pool)
@@ -459,16 +455,10 @@ def lifetime_sweep(
 # ----------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -570,6 +560,24 @@ def _write_pooled_csvs(scenario_dir: Path, scenario: Scenario,
 # ----------------------------------------------------------------------
 
 
+# trader.<group>.<key> fields; unset ones keep the TraderSpec defaults
+_TRADER_KEYS = {"kind": TraderKind, "count": int, "kappa": float,
+                "mu_lifetime": float, "sigma_price": float}
+
+
+def _parse(key: str, raw: str, cast):
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(
+            f"{key} = {raw!r} is not a valid {cast.__name__}") from None
+
+
+def _parse_list(key: str, raw: str, cast) -> tuple:
+    return tuple(_parse(key, tok.strip(), cast)
+                 for tok in raw.split(",") if tok.strip())
+
+
 def scenario_from_config(path: str | Path) -> Scenario:
     """Parse a flat key = value scenario config file."""
     entries: dict[str, str] = {}
@@ -585,8 +593,11 @@ def scenario_from_config(path: str | Path) -> Scenario:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         entries[key] = value.strip()
 
-    def take(key, default=None):
-        return entries.pop(key, default)
+    def take(key, default=None, cast=None):
+        raw = entries.pop(key, None)
+        if raw is None:
+            return default
+        return _parse(key, raw, cast) if cast else raw
 
     name = take("name")
     if not name:
@@ -603,56 +614,49 @@ def scenario_from_config(path: str | Path) -> Scenario:
     specs = []
     for gname in sorted(groups):
         g = groups[gname]
-        unknown = set(g) - {"kind", "count", "kappa", "mu_lifetime", "sigma_price"}
+        unknown = set(g) - set(_TRADER_KEYS)
         if unknown:
             raise ValueError(f"unknown trader keys for {gname!r}: {sorted(unknown)}")
-        specs.append(TraderSpec(
-            kind=TraderKind(g.get("kind", "random")),
-            count=int(g["count"]),
-            kappa=float(g.get("kappa", 1.0)),
-            mu_lifetime=float(g.get("mu_lifetime", 120.0)),
-            sigma_price=float(g.get("sigma_price", 0.5)),
-        ))
+        if "count" not in g:
+            raise ValueError(f"trader group {gname!r} needs trader.{gname}.count")
+        specs.append(TraderSpec(**{
+            k: _parse(f"trader.{gname}.{k}", v, _TRADER_KEYS[k])
+            for k, v in g.items()
+        }))
 
-    warmup = take("warmup")
     config = SimConfig(
         trader_specs=tuple(specs),
-        c=float(take("c", 7.0)),
-        mu_vol=float(take("mu_vol", 10.0)),
-        tick_size=float(take("tick_size", 0.1)),
-        start_price=float(take("start_price", 100.0)),
-        horizon_T=int(take("horizon", 100_000)),
-        warmup=int(warmup) if warmup is not None else None,
-        snapshot_interval=int(take("snapshot_interval", 0)),
-        seed=int(take("base_seed", 0)),
-        steps_per_minute=int(take("steps_per_minute", 60)),
+        c=take("c", 7.0, float),
+        mu_vol=take("mu_vol", 10.0, float),
+        tick_size=take("tick_size", 0.1, float),
+        start_price=take("start_price", 100.0, float),
+        horizon_T=take("horizon", 100_000, int),
+        warmup=take("warmup", None, int),
+        snapshot_interval=take("snapshot_interval", 0, int),
+        seed=take("base_seed", 0, int),
+        steps_per_minute=take("steps_per_minute", 60, int),
     )
 
     seeds_raw = take("seeds")
     if seeds_raw:
-        seeds = tuple(int(s) for s in seeds_raw.split(","))
+        seeds = _parse_list("seeds", seeds_raw, int)
     else:
-        master = int(take("master_seed", 0))
-        n_seeds = int(take("n_seeds", 1))
+        master = take("master_seed", 0, int)
+        n_seeds = take("n_seeds", 1, int)
         seeds = tuple(derive_seed(master, i) for i in range(n_seeds))
 
-    outputs_raw = take("outputs", "return_pdf, kurtosis_point")
-    outputs = frozenset(
-        tok.strip() for tok in outputs_raw.split(",") if tok.strip()
-    )
-    volumes_raw = take("impact_volumes", "")
-    quantiles_raw = take("impact_quantiles", "0.1, 0.5, 0.9, 0.99")
+    outputs = take("outputs", "return_pdf, kurtosis_point")
+    volumes = take("impact_volumes", "")
+    quantiles = take("impact_quantiles", "0.1, 0.5, 0.9, 0.99")
     scenario = Scenario(
         name=name,
         config=config,
         seeds=seeds,
-        outputs=outputs,
-        vol_window=int(take("vol_window", 1000)),
-        impact_volumes=tuple(int(v) for v in volumes_raw.split(",") if v.strip()),
-        impact_quantiles=tuple(
-            float(q) for q in quantiles_raw.split(",") if q.strip()
-        ),
-        impact_side=Side(take("impact_side", "buy")),
+        outputs=_parse_list("outputs", outputs, str),
+        vol_window=take("vol_window", 1000, int),
+        impact_volumes=_parse_list("impact_volumes", volumes, int),
+        impact_quantiles=_parse_list("impact_quantiles", quantiles, float),
+        impact_side=take("impact_side", Side.BUY, Side),
         impact_censored=take("impact_censored", "exclude"),
     )
     if entries:

@@ -6,9 +6,9 @@ limit order, then expired orders are removed and the step's last trade
 price, resting volume and (optionally) a depth snapshot are recorded.
 A run is fully determined by its config, including the seed.
 
-Also provides trade-frequency calibration: bisection over the waiting
-time scale c until short probe runs hit a target trades-per-minute.
-A measurement's probe seeds run on a process pool when one is given.
+Also provides trade-frequency calibration: rescale the waiting-time
+scale c by measured/target trades-per-minute of short probe runs until
+they hit the target, each measurement's seeds on a process pool if given.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ __all__ = [
     "SimOutput",
     "run",
     "calibrate_c",
+    "calibration_probe",
     "fan_out",
     "derive_seed",
 ]
 
 PROBE_SEEDS = 5  # probe runs per calibration measurement
+PROBE_HORIZON = 30_000  # steps per probe run
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -220,6 +222,15 @@ def fan_out(fn, jobs, pool: Executor | None, describe) -> list:
     return results
 
 
+def calibration_probe(config: SimConfig,
+                      horizon: int = PROBE_HORIZON) -> SimConfig:
+    """``config`` cut to a probe run: ``horizon`` steps, warmup at most a
+    third of them, no snapshots."""
+    return replace(config, horizon_T=horizon,
+                   warmup=min(config.warmup, horizon // 3),
+                   snapshot_interval=0)
+
+
 def _probe_run(config: SimConfig) -> float:
     # module level, so pool workers can unpickle it; ``run`` is looked
     # up at call time, so wrappers installed on this module are seen
@@ -247,13 +258,14 @@ def calibrate_c(
 ) -> float:
     """Find the waiting-time scale c hitting a target trade frequency.
 
-    Measured trades-per-minute decreases in c (longer waits, fewer
-    activations), so bisection applies: widen an initial bracket until
-    it straddles the target, then bisect geometrically until the probe
-    measurement (averaged over n_seeds derived seeds) lands within
-    rel_tol of the target and the bracket pins c itself. Each
-    measurement's seeds run on ``pool`` when given (see ``fan_out``);
-    the result is the same float with or without one.
+    Each trader waits Exp(c*N) steps, so trades-per-minute scales as
+    1/c and the fixed point c <- c*tpm(c)/target is a Newton step with
+    the model's own slope. Starting from ``probe_config.c``, measure tpm
+    (averaged over n_seeds derived seeds) and return the measured c once
+    it lies within rel_tol of the target, so the next step would move c
+    by at most rel_tol; a measurement without trades quarters c instead.
+    Each measurement's seeds run on ``pool`` when given (see
+    ``fan_out``); the result is the same float with or without one.
 
     Raises RuntimeError when max_iter probe evaluations are exhausted.
     """
@@ -261,39 +273,12 @@ def calibrate_c(
         raise ValueError("target_tpm must be positive")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    evals = 0
-
-    def measure(c: float) -> float:
-        nonlocal evals
-        evals += 1
-        if evals > max_iter:
-            raise RuntimeError(
-                f"calibration failed to converge in {max_iter} probe evaluations"
-            )
-        return _probe_tpm(probe_config, c, n_seeds, pool)
-
-    lo = hi = probe_config.c
-    f_lo = f_hi = measure(lo)
-    while f_lo < target_tpm:  # need more activity: shrink c
-        hi, f_hi = lo, f_lo
-        lo /= 4.0
-        f_lo = measure(lo)
-    while f_hi > target_tpm:  # need less activity: grow c
-        lo, f_lo = hi, f_hi
-        hi *= 4.0
-        f_hi = measure(hi)
-
-    best_c, best_err = lo, abs(f_lo - target_tpm)
-    if abs(f_hi - target_tpm) < best_err:
-        best_c, best_err = hi, abs(f_hi - target_tpm)
-    while True:
-        mid = float(np.sqrt(lo * hi))
-        f_mid = measure(mid)
-        if abs(f_mid - target_tpm) < best_err:
-            best_c, best_err = mid, abs(f_mid - target_tpm)
-        if best_err <= rel_tol * target_tpm and (hi - lo) <= 0.05 * mid:
-            return best_c
-        if f_mid > target_tpm:
-            lo = mid
-        else:
-            hi = mid
+    c = probe_config.c
+    for _ in range(max_iter):
+        tpm = _probe_tpm(probe_config, c, n_seeds, pool)
+        if abs(tpm - target_tpm) <= rel_tol * target_tpm:
+            return c
+        c = c * tpm / target_tpm if tpm > 0 else c / 4.0
+    raise RuntimeError(
+        f"calibration failed to converge in {max_iter} probe evaluations"
+    )

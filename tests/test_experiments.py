@@ -356,6 +356,23 @@ def test_config_errors(tmp_path):
     path.write_text("name = x\nname = y\ntrader.a.count = 5\n")
     with pytest.raises(ValueError, match="duplicate"):
         scenario_from_config(path)
+    # malformed values fail naming their key
+    for text, match in (
+        ("name = x\ntrader.a.mu_lifetime = 120\n", "trader.a.count"),
+        ("name = x\ntrader.a.count = 5\nhorizon = 1.5e5\n",
+         r"horizon = '1\.5e5' is not a valid int"),
+        ("name = x\ntrader.a.count = 5\nc = fast\n",
+         "c = 'fast' is not a valid float"),
+        ("name = x\ntrader.a.count = many\n", "trader.a.count = 'many'"),
+        ("name = x\ntrader.a.count = 5\ntrader.a.kind = huge\n",
+         "trader.a.kind = 'huge'"),
+        ("name = x\ntrader.a.count = 5\nseeds = 1, two\n", "seeds = 'two'"),
+        ("name = x\ntrader.a.count = 5\nimpact_side = up\n",
+         "impact_side = 'up'"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            scenario_from_config(path)
 
 
 # ----------------------------------------------------------------------

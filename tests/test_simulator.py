@@ -215,6 +215,31 @@ def test_calibrate_hits_target_within_tolerance():
         assert calibrate_c(target, probe, n_seeds=3, pool=pool) == c
 
 
+def test_calibrate_recovers_from_tradeless_probes(monkeypatch):
+    import lobsim.simulator as simulator
+
+    measured = []
+    probe_tpm = simulator._probe_tpm
+
+    def recording(probe_config, c, n_seeds, pool):
+        tpm = probe_tpm(probe_config, c, n_seeds, pool)
+        measured.append((c, tpm))
+        return tpm
+
+    monkeypatch.setattr(simulator, "_probe_tpm", recording)
+    probe = small_config(c=1e4, horizon_T=15_000, seed=31)
+    target = 4.0
+    c = calibrate_c(target, probe, n_seeds=3)
+    # waits of ~c*N = 5e5 steps: the first probes see no trades and
+    # quarter c until trades appear
+    assert [tpm for _, tpm in measured[:2]] == [0.0, 0.0]
+    assert measured[1][0] == measured[0][0] / 4
+    # the returned c is the last one measured, and it met the tolerance
+    last_c, last_tpm = measured[-1]
+    assert c == last_c
+    assert last_tpm == pytest.approx(target, rel=0.05)
+
+
 def test_calibrate_rejects_bad_target():
     with pytest.raises(ValueError):
         calibrate_c(0.0, small_config())
