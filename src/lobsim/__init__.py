@@ -4,16 +4,16 @@ Reproduces gap-driven heavy-tailed return distributions: traders with
 random actions place limit orders around the best prices; finite order
 lifetimes thin out the book, gaps form between occupied price levels,
 and large price shifts follow. Submodules: orderbook (matching engine
-and depth snapshots), agents (trader draw rules), simulator (event
-loop, calibration), stats (returns, kurtosis, distributions), impact
-(virtual market impact curves), experiments (seed fan-out, sweeps,
-CSV emission), cli.
+and the columnar ``Depth`` record), agents (trader draw rules),
+simulator (event loop, calibration), stats (returns, kurtosis,
+distributions), impact (virtual market impact curves), experiments
+(seed fan-out, sweeps, CSV emission), cli.
 """
 
 from .agents import OrderIntent, TraderKind, TraderSpec, TraderState
 from .impact import ImpactCurve, curve_distance, impact_distribution, quantile_volumes
 from .orderbook import (
-    BookSnapshot,
+    Depth,
     Order,
     OrderBook,
     OrderRejected,
@@ -38,7 +38,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BookSnapshot",
+    "Depth",
     "ImpactCurve",
     "Order",
     "OrderBook",

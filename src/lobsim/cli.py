@@ -10,6 +10,7 @@ import numpy as np
 
 from .experiments import (
     Scenario,
+    _parse_list,
     lifetime_sweep,
     run_scenario,
     scenario_from_config,
@@ -22,20 +23,22 @@ PAPER_SEEDS = 5000
 PAPER_HORIZON = 500_000
 
 
-def _parse_list(raw: str, cast):
-    return tuple(cast(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _apply_paper_scale(scenario: Scenario) -> Scenario:
-    seeds = tuple(derive_seed(scenario.seeds[0], i) for i in range(PAPER_SEEDS))
-    cfg = replace(scenario.config, horizon_T=PAPER_HORIZON)
-    return replace(scenario, seeds=seeds, config=cfg)
+def _load_scenario(args) -> Scenario:
+    """The config's scenario, at publication scale if asked. Without
+    ``--out`` nothing reads snapshots, so none are shipped back."""
+    scenario = scenario_from_config(args.config)
+    if getattr(args, "paper_scale", False):
+        seeds = tuple(derive_seed(scenario.seeds[0], i)
+                      for i in range(PAPER_SEEDS))
+        cfg = replace(scenario.config, horizon_T=PAPER_HORIZON)
+        scenario = replace(scenario, seeds=seeds, config=cfg)
+    if args.out is None:
+        scenario = replace(scenario, outputs=scenario.outputs - {"snapshots"})
+    return scenario
 
 
 def _cmd_run(args) -> int:
-    scenario = scenario_from_config(args.config)
-    if args.paper_scale:
-        scenario = _apply_paper_scale(scenario)
+    scenario = _load_scenario(args)
     result = run_scenario(scenario, out_dir=args.out, workers=args.workers)
     print(f"scenario {scenario.name}: {len(result.runs)} runs")
     print(f"  trades/minute        {result.trades_per_minute:.3f}")
@@ -47,10 +50,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = scenario_from_config(args.config)
-    if args.paper_scale:
-        scenario = _apply_paper_scale(scenario)
-    lifetimes = _parse_list(args.lifetimes, float)
+    scenario = _load_scenario(args)
+    lifetimes = _parse_list("--lifetimes", args.lifetimes, float)
     result = lifetime_sweep(
         scenario,
         lifetimes,
@@ -77,13 +78,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_impact(args) -> int:
-    scenario = scenario_from_config(args.config)
+    scenario = _load_scenario(args)
     outputs = set(scenario.outputs) | {"impact_curves"}
     overrides = {"outputs": frozenset(outputs)}
     if args.volumes:
-        overrides["impact_volumes"] = _parse_list(args.volumes, int)
+        overrides["impact_volumes"] = _parse_list("--volumes", args.volumes, int)
     if args.quantiles:
-        overrides["impact_quantiles"] = _parse_list(args.quantiles, float)
+        overrides["impact_quantiles"] = _parse_list("--quantiles", args.quantiles,
+                                                    float)
         overrides.setdefault("impact_volumes", ())
     if args.censored:
         overrides["impact_censored"] = args.censored

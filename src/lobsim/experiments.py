@@ -11,7 +11,7 @@ Output layout, one directory per scenario:
 
     <out_dir>/<name>/scenario.cfg          config copy (provenance)
     <out_dir>/<name>/runs/<seed>/*.csv     per-run trade tape, price
-                                           series, snapshots
+                                           series, depth snapshots
     <out_dir>/<name>/pooled/*.csv          pooled aggregates
 
 Config files are flat ``key = value`` text (# comments); trader groups
@@ -24,6 +24,7 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from . import stats
 from .agents import TraderKind, TraderSpec
 from .impact import (ImpactCurve, impact_distribution, quantile_volumes,
                      walk_depth)
-from .orderbook import Side
+from .orderbook import Depth, Side
 from .simulator import (PROBE_HORIZON, PROBE_SEEDS, SimConfig, SimOutput,
                         calibrate_c, calibration_probe, derive_seed, fan_out,
                         run)
@@ -128,7 +129,7 @@ class RunArtifacts:
     impact_curves: dict[int, ImpactCurve] | None = None  # pinned volumes
     n_snapshots: int = 0
     tape_shares: np.ndarray | None = None
-    snapshots: list | None = None
+    depth: Depth | None = None
 
 
 @dataclass
@@ -188,6 +189,7 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
     scenario, seed, out_dir = payload
     cfg = replace(scenario.effective_config(), seed=seed)
     output = run(cfg)
+    depth = output.depth
 
     rs = stats.returns(post_warmup_prices(output), cfg.steps_per_minute)
     g = stats.normalize(rs)
@@ -209,24 +211,23 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
             art.impact_curves = {}
             for v in scenario.impact_volumes:
                 shifts, n_censored = walk_depth(
-                    output.snapshots, scenario.impact_side, v, saturate
+                    depth, scenario.impact_side, v, saturate
                 )
                 art.impact_curves[v] = ImpactCurve(
                     volume=v, side=scenario.impact_side, samples=shifts,
-                    censored_count=n_censored,
-                    n_snapshots=len(output.snapshots),
+                    censored_count=n_censored, n_snapshots=len(depth),
                 )
         else:
-            # quantile volumes are pooled: hand snapshots back instead
-            art.snapshots = output.snapshots
+            # quantile volumes are pooled: hand the depth back instead
+            art.depth = depth
             art.tape_shares = np.array(
                 [t.shares for t in output.trade_tape if t.step > cfg.warmup],
                 dtype=np.int64,
             )
-    art.n_snapshots = len(output.snapshots)
+    art.n_snapshots = len(depth)
     if "snapshots" in scenario.outputs and out_dir is None:
-        # nothing on disk to hold them: hand the snapshots back in memory
-        art.snapshots = output.snapshots
+        # nothing on disk to hold it: hand the depth back in memory
+        art.depth = depth
 
     if out_dir is not None:
         _write_run_csvs(Path(out_dir), scenario, output, art)
@@ -348,10 +349,10 @@ def _pool_impact(scenario: Scenario, runs: list[RunArtifacts],
     tape_shares = np.concatenate([r.tape_shares for r in runs])
     volumes = quantile_volumes(tape_shares, scenario.impact_quantiles)
     volumes = tuple(dict.fromkeys(volumes))  # dedupe, keep order
-    snapshots = [s for r in runs for s in r.snapshots]
+    depth = Depth.concat((r.depth for r in runs), scenario.config.tick_size)
     for v in volumes:
         result.impact_curves[v] = impact_distribution(
-            snapshots, scenario.impact_side, v, censored=scenario.impact_censored
+            depth, scenario.impact_side, v, censored=scenario.impact_censored
         )
     result.quantile_volumes_used = volumes
 
@@ -487,18 +488,26 @@ def _write_run_csvs(runs_dir: Path, scenario: Scenario, output: SimOutput,
             output.resting_volume_series.tolist()),
     )
     if "snapshots" in scenario.outputs:
-        rows = []
-        for snap in output.snapshots:
-            # plot convention: buy volume carries a negative sign
-            for t, s in zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()):
-                rows.append((snap.step, "buy", t, t * tick, -s))
-            for t, s in zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()):
-                rows.append((snap.step, "sell", t, t * tick, s))
         _write_csv(
             seed_dir / "snapshots.csv",
             ("step", "side", "tick", "price", "shares"),
-            rows,
+            _depth_rows(output.depth),
         )
+
+
+def _depth_rows(depth: Depth):
+    # each snapshot's bid levels, then its asks; buy volume carries a
+    # negative sign (plot convention)
+    tick = depth.tick_size
+    bids = zip(depth.bid_ticks.tolist(), depth.bid_shares.tolist())
+    asks = zip(depth.ask_ticks.tolist(), depth.ask_shares.tolist())
+    for step, n_bids, n_asks in zip(depth.steps.tolist(),
+                                    depth.bid_counts.tolist(),
+                                    depth.ask_counts.tolist()):
+        for t, s in islice(bids, n_bids):
+            yield step, "buy", t, t * tick, -s
+        for t, s in islice(asks, n_asks):
+            yield step, "sell", t, t * tick, s
 
 
 def _write_pooled_csvs(scenario_dir: Path, scenario: Scenario,
@@ -560,9 +569,18 @@ def _write_pooled_csvs(scenario_dir: Path, scenario: Scenario,
 # ----------------------------------------------------------------------
 
 
-# trader.<group>.<key> fields; unset ones keep the TraderSpec defaults
+# Config keys by cast; unset ones keep the dataclass defaults.
+# trader.<group>.<key>: TraderSpec fields
 _TRADER_KEYS = {"kind": TraderKind, "count": int, "kappa": float,
                 "mu_lifetime": float, "sigma_price": float}
+# SimConfig fields; two keys differ from their field names
+_SIM_KEYS = {**dict.fromkeys(("c", "mu_vol", "tick_size", "start_price"), float),
+             **dict.fromkeys(("horizon", "warmup", "snapshot_interval",
+                              "base_seed", "steps_per_minute"), int)}
+_SIM_FIELDS = {"horizon": "horizon_T", "base_seed": "seed"}
+# Scenario fields: comma-separated lists, then single values
+_SCENARIO_LISTS = {"outputs": str, "impact_volumes": int, "impact_quantiles": float}
+_SCENARIO_KEYS = {"vol_window": int, "impact_side": Side, "impact_censored": str}
 
 
 def _parse(key: str, raw: str, cast):
@@ -624,18 +642,10 @@ def scenario_from_config(path: str | Path) -> Scenario:
             for k, v in g.items()
         }))
 
-    config = SimConfig(
-        trader_specs=tuple(specs),
-        c=take("c", 7.0, float),
-        mu_vol=take("mu_vol", 10.0, float),
-        tick_size=take("tick_size", 0.1, float),
-        start_price=take("start_price", 100.0, float),
-        horizon_T=take("horizon", 100_000, int),
-        warmup=take("warmup", None, int),
-        snapshot_interval=take("snapshot_interval", 0, int),
-        seed=take("base_seed", 0, int),
-        steps_per_minute=take("steps_per_minute", 60, int),
-    )
+    config = SimConfig(trader_specs=tuple(specs), **{
+        _SIM_FIELDS.get(key, key): _parse(key, entries.pop(key), cast)
+        for key, cast in _SIM_KEYS.items() if key in entries
+    })
 
     seeds_raw = take("seeds")
     if seeds_raw:
@@ -645,20 +655,11 @@ def scenario_from_config(path: str | Path) -> Scenario:
         n_seeds = take("n_seeds", 1, int)
         seeds = tuple(derive_seed(master, i) for i in range(n_seeds))
 
-    outputs = take("outputs", "return_pdf, kurtosis_point")
-    volumes = take("impact_volumes", "")
-    quantiles = take("impact_quantiles", "0.1, 0.5, 0.9, 0.99")
-    scenario = Scenario(
-        name=name,
-        config=config,
-        seeds=seeds,
-        outputs=_parse_list("outputs", outputs, str),
-        vol_window=take("vol_window", 1000, int),
-        impact_volumes=_parse_list("impact_volumes", volumes, int),
-        impact_quantiles=_parse_list("impact_quantiles", quantiles, float),
-        impact_side=take("impact_side", Side.BUY, Side),
-        impact_censored=take("impact_censored", "exclude"),
-    )
+    given = {key: _parse_list(key, entries.pop(key), cast)
+             for key, cast in _SCENARIO_LISTS.items() if key in entries}
+    given.update({key: _parse(key, entries.pop(key), cast)
+                  for key, cast in _SCENARIO_KEYS.items() if key in entries})
+    scenario = Scenario(name=name, config=config, seeds=seeds, **given)
     if entries:
         raise ValueError(f"unknown config keys: {sorted(entries)}")
     return scenario

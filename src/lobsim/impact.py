@@ -17,12 +17,11 @@ show nothing about gaps.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .orderbook import BookSnapshot, Side
+from .orderbook import Depth, Side
 from .stats import estimate_ccdf
 
 __all__ = [
@@ -50,7 +49,7 @@ class ImpactCurve:
 
 
 def walk_depth(
-    snapshots: Sequence[BookSnapshot],
+    depth: Depth,
     side: Side,
     volume: int,
     saturate: bool = False,
@@ -61,34 +60,29 @@ def walk_depth(
     side of the order's flow: a buy consumes asks, a sell consumes
     bids. The shift is the distance, in price units, from the best
     level to the level holding the ``volume``-th share. When a side
-    holds less than ``volume`` in total the snapshot is censored: it
-    yields no shift by default, or the full-depth walk (shift to the
-    deepest occupied level, where an actual market order's last fill
-    would land) with ``saturate=True``. Empty sides are censored and
-    never yield a shift.
+    holds less than ``volume`` in total the row is censored: it yields
+    no shift by default, or the full-depth walk (shift to the deepest
+    occupied level, where an actual market order's last fill would
+    land) with ``saturate=True``. Empty sides are censored and never
+    yield a shift.
 
-    Returns the shifts in snapshot order and the censored count. All
-    snapshots are walked at once: their sides are concatenated under
-    one cumulative sum, and snapshot i's walk is one search for
-    ``base_i + volume``, where ``base_i`` counts the shares before it.
+    Returns the shifts in row order and the censored count. All rows
+    are walked at once under one cumulative sum of the side's shares
+    column: row i's walk is one search for ``base_i + volume``, where
+    ``base_i`` counts the shares before the row.
     """
     if volume < 1:
         raise ValueError("volume must be >= 1")
-    if not snapshots:
-        return np.empty(0), 0
     if side is Side.BUY:
-        ticks = [s.ask_ticks for s in snapshots]
-        shares = [s.ask_shares for s in snapshots]
+        sizes, ticks, shares = depth.ask_counts, depth.ask_ticks, depth.ask_shares
     else:
-        ticks = [s.bid_ticks for s in snapshots]
-        shares = [s.bid_shares for s in snapshots]
-    sizes = np.array([t.size for t in ticks], dtype=np.int64)
+        sizes, ticks, shares = depth.bid_counts, depth.bid_ticks, depth.bid_shares
     ends = np.cumsum(sizes)
-    starts = ends - sizes  # snapshot i occupies positions [starts[i], ends[i])
+    starts = ends - sizes  # row i occupies positions [starts[i], ends[i])
     # cum[k]: shares at positions before k; the share a walk needs lies
     # at the position before the first k with cum[k] >= base_i + volume
-    cum = np.concatenate([np.zeros(1, dtype=np.int64), *shares])
-    np.cumsum(cum, out=cum)
+    cum = np.zeros(shares.size + 1, dtype=np.int64)
+    np.cumsum(shares, out=cum[1:])
     last = np.searchsorted(cum, cum[starts] + volume, side="left") - 1
     filled = last < ends
     if saturate:
@@ -96,13 +90,8 @@ def walk_depth(
         last = np.minimum(last, ends - 1)
     else:
         keep = filled
-    # the sums are no longer needed: their buffer takes the ticks, which
-    # keeps the walk's peak memory at one array of levels
-    flat_ticks = np.concatenate(ticks, out=cum[1:])
-    tick_size = np.array([s.tick_size for s in snapshots])
-    shifts = (np.abs(flat_ticks[last[keep]] - flat_ticks[starts[keep]])
-              * tick_size[keep])
-    return shifts, len(snapshots) - int(np.count_nonzero(filled))
+    shifts = np.abs(ticks[last[keep]] - ticks[starts[keep]]) * depth.tick_size
+    return shifts, len(depth) - int(np.count_nonzero(filled))
 
 
 def quantile_volumes(shares, quantiles) -> list[int]:
@@ -117,25 +106,25 @@ def quantile_volumes(shares, quantiles) -> list[int]:
 
 
 def impact_distribution(
-    snapshots: list[BookSnapshot],
+    depth: Depth,
     side: Side,
     volume: int,
     censored: str = "exclude",
 ) -> ImpactCurve:
-    """Pool virtual price shifts of a fixed volume over snapshots.
+    """Pool virtual price shifts of a fixed volume over recorded depth.
 
-    Snapshots whose side depth is below the volume are censored. With
-    censored="exclude" they are dropped from the distribution (and
+    Rows (snapshots) whose side depth is below the volume are censored.
+    With censored="exclude" they are dropped from the distribution (and
     counted); with censored="saturate" they contribute the full-depth
     walk, matching what a real market order of that size would realize.
-    Empty-side snapshots are always excluded.
+    Empty-side rows are always excluded.
     """
-    if not snapshots:
+    if not len(depth):
         raise ValueError("no snapshots")
     if censored not in ("exclude", "saturate"):
         raise ValueError("censored must be 'exclude' or 'saturate'")
     shifts, n_censored = walk_depth(
-        snapshots, side, volume, saturate=censored == "saturate"
+        depth, side, volume, saturate=censored == "saturate"
     )
     if not shifts.size:
         raise ValueError(
@@ -146,7 +135,7 @@ def impact_distribution(
         side=side,
         samples=shifts,
         censored_count=n_censored,
-        n_snapshots=len(snapshots),
+        n_snapshots=len(depth),
     )
 
 

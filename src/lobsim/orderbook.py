@@ -9,14 +9,14 @@ heap over (expires_step, order_id).
 
 Supports crossing limit orders (fills execute at the resting order's
 tick, remainder rests), market orders (unfilled remainder is discarded),
-end-of-step expiry and per-level depth snapshots.
+end-of-step expiry and per-level depth snapshots (``Depth``).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,7 @@ __all__ = [
     "Side",
     "Order",
     "Trade",
-    "BookSnapshot",
+    "Depth",
     "OrderBook",
     "OrderRejected",
     "tick_to_price",
@@ -82,28 +82,40 @@ class Trade:
 
 
 @dataclass(frozen=True, eq=False)
-class BookSnapshot:
-    """Per-level depth at one step, best level first on both sides.
+class Depth:
+    """Per-level book depth, one row per recorded step, as columns.
 
-    Level data is stored as parallel numpy arrays to keep large snapshot
-    collections cheap. Bid ticks descend from the best bid, ask ticks
-    ascend from the best ask.
+    Per row: its step and, per side, its count of occupied levels. The
+    ticks and shares columns hold every row's levels in row order, best
+    level first within a row: bid ticks descend from the best bid, ask
+    ticks ascend from the best ask.
     """
 
-    step: int
     tick_size: float
+    steps: np.ndarray
+    bid_counts: np.ndarray
     bid_ticks: np.ndarray
     bid_shares: np.ndarray
+    ask_counts: np.ndarray
     ask_ticks: np.ndarray
     ask_shares: np.ndarray
 
-    @property
-    def best_bid(self) -> int | None:
-        return int(self.bid_ticks[0]) if self.bid_ticks.size else None
+    def __len__(self) -> int:
+        return self.steps.size
 
-    @property
-    def best_ask(self) -> int | None:
-        return int(self.ask_ticks[0]) if self.ask_ticks.size else None
+    @classmethod
+    def concat(cls, parts, tick_size: float) -> "Depth":
+        """The rows of ``parts``, in order; no parts give zero rows."""
+        parts = list(parts)
+        mixed = {p.tick_size for p in parts} - {tick_size}
+        if mixed:
+            raise ValueError(f"cannot join depth at tick size {tick_size} "
+                             f"with depth at tick size {sorted(mixed)}")
+        empty = np.empty(0, dtype=np.int64)
+        return cls(tick_size, *(
+            np.concatenate([empty, *(getattr(p, f.name) for p in parts)])
+            for f in fields(cls)[1:]
+        ))
 
 
 @dataclass
@@ -335,17 +347,11 @@ class OrderBook:
     # depth snapshots
     # ------------------------------------------------------------------
 
-    def snapshot(self, step: int) -> BookSnapshot:
-        """Per-level depth snapshot, best level first on both sides."""
-        bid_ticks = self._bids.sorted_ticks()
-        ask_ticks = self._asks.sorted_ticks()
-        bid_sh = self._bids.level_shares
-        ask_sh = self._asks.level_shares
-        return BookSnapshot(
-            step=step,
-            tick_size=self.tick_size,
-            bid_ticks=np.array(bid_ticks, dtype=np.int64),
-            bid_shares=np.array([bid_sh[t] for t in bid_ticks], dtype=np.int64),
-            ask_ticks=np.array(ask_ticks, dtype=np.int64),
-            ask_shares=np.array([ask_sh[t] for t in ask_ticks], dtype=np.int64),
-        )
+    def snapshot(self, step: int) -> Depth:
+        """One-row depth record of the book, best level first on both sides."""
+        columns = [[step]]
+        for side in (self._bids, self._asks):
+            ticks = side.sorted_ticks()
+            columns += [[len(ticks)], ticks, [side.level_shares[t] for t in ticks]]
+        return Depth(self.tick_size,
+                     *(np.array(c, dtype=np.int64) for c in columns))

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .agents import TraderSpec, TraderState, act, draw_waiting_time
-from .orderbook import Order, OrderBook, Trade
+from .orderbook import Depth, Order, OrderBook, Trade
 
 __all__ = [
     "SimConfig",
@@ -108,14 +108,15 @@ class SimOutput:
     (carried forward through tradeless steps, start_price before the
     first trade), so the series has exactly horizon_T entries and no
     gaps. ``resting_volume_series`` counts total shares resting in the
-    book after each step's expiry.
+    book after each step's expiry. ``depth`` holds one row per snapshot
+    (none when ``snapshot_interval`` is 0).
     """
 
     config: SimConfig
     trade_tape: list[Trade]
     price_series: np.ndarray
     resting_volume_series: np.ndarray
-    snapshots: list = field(default_factory=list)
+    depth: Depth
     trades_per_minute: float = 0.0
     n_submitted: int = 0
     n_expired: int = 0
@@ -149,7 +150,7 @@ def run(config: SimConfig) -> SimOutput:
     tape: list[Trade] = []
     price_series = np.empty(horizon, dtype=np.float64)
     volume_series = np.empty(horizon, dtype=np.int64)
-    snapshots: list = []
+    snapshots: list[Depth] = []
     last_price = config.start_price
     next_order_id = 0
     n_submitted = 0
@@ -192,7 +193,7 @@ def run(config: SimConfig) -> SimOutput:
         trade_tape=tape,
         price_series=price_series,
         resting_volume_series=volume_series,
-        snapshots=snapshots,
+        depth=Depth.concat(snapshots, tick_size),
         trades_per_minute=post_trades / minutes,
         n_submitted=n_submitted,
         n_expired=n_expired,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lobsim.orderbook import Order, OrderBook, Side
+from lobsim.orderbook import Depth, Order, OrderBook, Side
 
 
 def make_stream(
@@ -56,3 +56,24 @@ def build_random_book(
         )
         next_id += 1
     return book
+
+
+def pooled(snapshots, tick_size: float = 0.1) -> Depth:
+    """One record holding the rows of ``snapshots``, in order."""
+    return Depth.concat(snapshots, tick_size)
+
+
+def depth_rows(depth: Depth) -> list[Depth]:
+    """Each row of ``depth`` as its own one-row record."""
+    rows = []
+    bid_end = ask_end = 0
+    for i in range(len(depth)):
+        bids = slice(bid_end, bid_end := bid_end + int(depth.bid_counts[i]))
+        asks = slice(ask_end, ask_end := ask_end + int(depth.ask_counts[i]))
+        rows.append(Depth(
+            depth.tick_size, depth.steps[i:i + 1],
+            depth.bid_counts[i:i + 1], depth.bid_ticks[bids],
+            depth.bid_shares[bids], depth.ask_counts[i:i + 1],
+            depth.ask_ticks[asks], depth.ask_shares[asks],
+        ))
+    return rows

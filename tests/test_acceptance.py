@@ -26,7 +26,7 @@ from lobsim.experiments import (
 )
 from lobsim.impact import (curve_distance, impact_distribution,
                            quantile_volumes, walk_depth)
-from lobsim.orderbook import Order, OrderBook, Side
+from lobsim.orderbook import Depth, Order, OrderBook, Side
 from lobsim.simulator import SimConfig, calibrate_c, derive_seed, run
 
 from .helpers import build_random_book, make_stream
@@ -108,8 +108,9 @@ def impact_1200(calibrate):
                               4004, 64)
 
 
-def pooled_snapshots(result) -> list:
-    return [snap for run_art in result.runs for snap in run_art.snapshots]
+def pooled_snapshots(result) -> Depth:
+    return Depth.concat((run_art.depth for run_art in result.runs),
+                        result.scenario.config.tick_size)
 
 
 @pytest.fixture(scope="session")
@@ -418,7 +419,7 @@ def test_criterion_8_statistical_kernels():
             break
         best = int(snap.ask_ticks[0])
         for v in (1, max(1, total // 2), total):
-            shifts, _ = walk_depth([snap], Side.BUY, v)
+            shifts, _ = walk_depth(snap, Side.BUY, v)
             level = best + int(round(float(shifts[0]) / book.tick_size))
             if _ask_supply(snap, level) < v:  # inverse consistency, upper
                 depth_ok = False

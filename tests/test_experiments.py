@@ -1,7 +1,7 @@
 """Scenario orchestration, pooling determinism, config files, CLI."""
 
 import multiprocessing
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from lobsim.experiments import (
     with_lifetime,
     write_config,
 )
-from lobsim import simulator
+from lobsim import experiments, simulator
 from lobsim.simulator import SimConfig, derive_seed, run
 
 
@@ -342,6 +342,22 @@ def test_config_round_trip(tmp_path):
     assert back.impact_censored == scen.impact_censored
 
 
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "min.cfg"
+    path.write_text("name = m\ntrader.x.count = 40\n")
+    scen = scenario_from_config(path)
+    defaults = SimConfig()
+    for f in fields(SimConfig):
+        if f.name != "trader_specs":
+            assert getattr(scen.config, f.name) == getattr(defaults, f.name), f.name
+    assert scen.config.trader_specs == (TraderSpec(count=40),)
+    bare = Scenario(name="m", config=scen.config, seeds=(1,))
+    for f in fields(Scenario):
+        if f.name not in ("name", "config", "seeds"):
+            assert getattr(scen, f.name) == getattr(bare, f.name), f.name
+    assert scen.seeds == (derive_seed(0, 0),)
+
+
 def test_config_errors(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("name = x\ntrader.a.count = 5\nbogus_key = 1\n")
@@ -394,6 +410,48 @@ def test_cli_run(demo_config, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "scenario demo" in out
     assert (tmp_path / "out" / "demo" / "pooled" / "kurtosis.csv").exists()
+
+
+def test_cli_without_out_ships_no_snapshots(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "snaps.cfg"
+    path.write_text(CONFIG_TEXT + "outputs = return_pdf, kurtosis_point, "
+                                  "snapshots\nsnapshot_interval = 500\n")
+    runs = []
+    run_seed = experiments._run_seed
+
+    def recording_run_seed(payload):
+        art = run_seed(payload)
+        runs.append(art)
+        return art
+
+    monkeypatch.setattr(experiments, "_run_seed", recording_run_seed)
+    assert main(["run", str(path), "--workers", "1"]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["sweep", str(path), "--lifetimes", "120", "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert len(runs) == 6
+    assert all(r.depth is None for r in runs)
+    # the statistics are the same as with snapshots written under --out
+    assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 0
+    with_out = capsys.readouterr().out.splitlines()
+    assert with_out[-1].startswith("  outputs under")
+    assert stdout.splitlines() == with_out[:-1]
+    assert (tmp_path / "out" / "demo" / "runs" / str(runs[-1].seed)
+            / "snapshots.csv").is_file()
+
+
+def test_cli_list_flags_name_themselves(demo_config, capsys):
+    for argv, match in (
+        (["impact", "--volumes", "10,abc"], "--volumes = 'abc' is not a valid int"),
+        (["impact", "--quantiles", "0.5,q"],
+         "--quantiles = 'q' is not a valid float"),
+        (["sweep", "--lifetimes", "120,x"],
+         "--lifetimes = 'x' is not a valid float"),
+    ):
+        command, *flags = argv
+        assert main([command, str(demo_config), *flags, "--workers", "1"]) == 1
+        assert match in capsys.readouterr().err
 
 
 def test_cli_run_bad_config(tmp_path, capsys):

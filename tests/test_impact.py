@@ -8,10 +8,11 @@ from lobsim.impact import (
     curve_distance,
     impact_distribution,
     quantile_volumes,
+    walk_depth,
 )
 from lobsim.orderbook import Order, OrderBook, Side
 
-from .helpers import build_random_book
+from .helpers import build_random_book, pooled
 
 
 def _snapshots(rng, n, **book_kwargs):
@@ -60,7 +61,7 @@ def test_quantiles_validation():
 
 def test_unit_volume_concentrates_at_zero(rng):
     snaps = _snapshots(rng, 30, n_orders=60)
-    curve = impact_distribution(snaps, Side.BUY, 1)
+    curve = impact_distribution(pooled(snaps), Side.BUY, 1)
     assert curve.censored_count == 0
     assert (curve.samples == 0.0).all()
     xs, probs = curve.ccdf
@@ -71,7 +72,7 @@ def test_unit_volume_concentrates_at_zero(rng):
 def test_single_snapshot_step_ccdf(rng):
     snaps = _snapshots(rng, 1, n_orders=40)
     v = int(snaps[0].ask_shares.sum() // 2) or 1
-    curve = impact_distribution(snaps, Side.BUY, v)
+    curve = impact_distribution(pooled(snaps), Side.BUY, v)
     xs, probs = curve.ccdf
     assert xs.size == 1
     assert probs.tolist() == [0.0]
@@ -81,7 +82,7 @@ def test_censored_counted_and_excluded(rng):
     snaps = _snapshots(rng, 50, n_orders=30)
     depths = np.array([int(s.ask_shares.sum()) for s in snaps])
     v = int(np.median(depths))
-    curve = impact_distribution(snaps, Side.BUY, v)
+    curve = impact_distribution(pooled(snaps), Side.BUY, v)
     expected_censored = int((depths < v).sum())
     assert curve.censored_count == expected_censored
     assert curve.samples.size == len(snaps) - expected_censored
@@ -91,12 +92,13 @@ def test_censored_counted_and_excluded(rng):
 def test_all_censored_raises(rng):
     snaps = _snapshots(rng, 10, n_orders=10)
     with pytest.raises(ValueError, match="every snapshot"):
-        impact_distribution(snaps, Side.BUY, 10**9)
+        impact_distribution(pooled(snaps), Side.BUY, 10**9)
 
 
 def test_saturate_keeps_every_snapshot(rng):
     snaps = _snapshots(rng, 40, n_orders=30)
-    curve = impact_distribution(snaps, Side.BUY, 10**6, censored="saturate")
+    curve = impact_distribution(pooled(snaps), Side.BUY, 10**6,
+                                censored="saturate")
     assert curve.samples.size == len(snaps)
     assert curve.censored_count == len(snaps)
     full_walks = np.array([
@@ -106,13 +108,20 @@ def test_saturate_keeps_every_snapshot(rng):
 
 
 def test_impact_mode_validation(rng):
-    snaps = _snapshots(rng, 3)
+    snaps = pooled(_snapshots(rng, 3))
     with pytest.raises(ValueError):
         impact_distribution(snaps, Side.BUY, 1, censored="impute")
-    with pytest.raises(ValueError):
-        impact_distribution([], Side.BUY, 1)
+    with pytest.raises(ValueError, match="no snapshots"):
+        impact_distribution(pooled([]), Side.BUY, 1)
     with pytest.raises(ValueError):
         impact_distribution(snaps, Side.BUY, 0)
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+def test_zero_row_depth_walks_to_nothing(saturate):
+    for side in Side:
+        shifts, n_censored = walk_depth(pooled([]), side, 5, saturate)
+        assert shifts.size == 0 and n_censored == 0
 
 
 def _rebuild(snap) -> OrderBook:
@@ -151,7 +160,8 @@ def test_curves_match_destructive_execution(rng, side, censored):
         volumes = (int(np.percentile(depths, 70)), 1, max(1, total // 3),
                    total, total + 5)
         for v in volumes:
-            curve = impact_distribution(snaps, side, v, censored=censored)
+            curve = impact_distribution(pooled(snaps), side, v,
+                                        censored=censored)
             realized = []
             for snap, depth in zip(snaps, depths):
                 if depth == 0 or (censored == "exclude" and depth < v):
@@ -198,7 +208,7 @@ def test_stochastic_ordering_in_volume(rng):
     snaps = _snapshots(rng, 60, n_orders=80)
     min_depth = min(int(s.ask_shares.sum()) for s in snaps)
     volumes = sorted({max(1, min_depth // 4), max(1, min_depth // 2), min_depth})
-    curves = [impact_distribution(snaps, Side.BUY, v) for v in volumes]
+    curves = [impact_distribution(pooled(snaps), Side.BUY, v) for v in volumes]
     grid = np.unique(np.concatenate([c.samples for c in curves]))
     for small, big in zip(curves, curves[1:]):
         ccdf_small = 1 - np.searchsorted(np.sort(small.samples), grid, "right") / small.samples.size
@@ -213,13 +223,14 @@ def test_buy_sell_symmetry_pooled():
     from lobsim.agents import TraderSpec
     from lobsim.simulator import SimConfig, derive_seed, run
 
-    snaps = []
+    parts = []
     for i in range(6):
         cfg = SimConfig(
             trader_specs=(TraderSpec(mu_lifetime=120.0),), c=5.1,
             horizon_T=30_000, snapshot_interval=60, seed=derive_seed(555, i),
         )
-        snaps += run(cfg).snapshots
+        parts.append(run(cfg).depth)
+    snaps = pooled(parts)
     v = 20
     buy = impact_distribution(snaps, Side.BUY, v)
     sell = impact_distribution(snaps, Side.SELL, v)

@@ -1,5 +1,7 @@
 """Matching engine, expiry, depth snapshots and the flat-list oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from lobsim.impact import walk_depth
 from lobsim.orderbook import (
+    Depth,
     Order,
     OrderBook,
     OrderRejected,
@@ -15,7 +18,7 @@ from lobsim.orderbook import (
     tick_to_price,
 )
 
-from .helpers import build_random_book, make_stream
+from .helpers import build_random_book, depth_rows, make_stream
 from .reference_matcher import ReferenceMatcher
 
 
@@ -219,7 +222,7 @@ def test_best_ask_advances_after_level_cleared():
 
 def impact_shift(book, side, volume, saturate=False):
     """The book's virtual shift, or None when the walk is censored."""
-    shifts, _ = walk_depth([book.snapshot(0)], side, volume, saturate)
+    shifts, _ = walk_depth(book.snapshot(0), side, volume, saturate)
     return float(shifts[0]) if shifts.size else None
 
 
@@ -307,12 +310,32 @@ def test_impact_monotone_and_inverse_consistent(rng):
 def test_snapshot_orders_and_totals(rng):
     book = build_random_book(rng, n_orders=50)
     snap = book.snapshot(step=9)
-    assert snap.step == 9
+    assert len(snap) == 1 and snap.steps.tolist() == [9]
+    assert (snap.bid_counts.tolist(), snap.ask_counts.tolist()) == (
+        [snap.bid_ticks.size], [snap.ask_ticks.size])
     assert list(snap.ask_ticks) == sorted(snap.ask_ticks)
     assert list(snap.bid_ticks) == sorted(snap.bid_ticks, reverse=True)
-    assert snap.best_bid < snap.best_ask
+    assert snap.bid_ticks[0] < snap.ask_ticks[0]
     assert int(snap.bid_shares.sum() + snap.ask_shares.sum()) == book.resting_shares()
     assert (snap.bid_shares >= 1).all() and (snap.ask_shares >= 1).all()
+
+
+def test_depth_concat_stacks_rows_in_order(rng):
+    snaps = [build_random_book(rng, n_orders=int(n)).snapshot(step=i)
+             for i, n in enumerate((30, 0, 5, 12))]
+    depth = Depth.concat(snaps, 0.1)
+    assert len(depth) == 4 and depth.steps.tolist() == [0, 1, 2, 3]
+    for row, snap in zip(depth_rows(depth), snaps):
+        for f in fields(Depth)[1:]:
+            assert getattr(row, f.name).tolist() == getattr(snap, f.name).tolist()
+    assert len(Depth.concat([], 0.1)) == 0
+
+
+def test_depth_concat_rejects_mixed_tick_sizes():
+    parts = [OrderBook(0.1).snapshot(1), OrderBook(0.05).snapshot(2)]
+    with pytest.raises(ValueError, match=r"tick size 0\.1 with depth at "
+                                         r"tick size \[0\.05\]"):
+        Depth.concat(parts, 0.1)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from lobsim.agents import TraderSpec
 from lobsim.experiments import post_warmup_prices
+from lobsim.orderbook import Depth
 from lobsim.simulator import (
     SimConfig,
     SimOutput,
@@ -15,6 +16,8 @@ from lobsim.simulator import (
     derive_seed,
     run,
 )
+
+from .helpers import depth_rows
 
 
 def small_config(**overrides) -> SimConfig:
@@ -95,12 +98,13 @@ def test_stationarity_guard():
 def test_snapshot_cadence():
     cfg = small_config(snapshot_interval=500)
     out = run(cfg)
-    steps = [s.step for s in out.snapshots]
+    snapshots = depth_rows(out.depth)
+    steps = [int(s.steps[0]) for s in snapshots]
     assert steps == [s for s in range(500, 20_001, 500) if s > cfg.warmup]
     assert all(
-        s.best_bid < s.best_ask
-        for s in out.snapshots
-        if s.best_bid is not None and s.best_ask is not None
+        s.bid_ticks[0] < s.ask_ticks[0]
+        for s in snapshots
+        if s.bid_ticks.size and s.ask_ticks.size
     )
 
 
@@ -134,6 +138,7 @@ def _manual_output(prices, warmup=0, spm=60) -> SimOutput:
         trade_tape=[],
         price_series=np.asarray(prices, dtype=float),
         resting_volume_series=np.zeros(len(prices), dtype=np.int64),
+        depth=Depth.concat([], cfg.tick_size),
     )
 
 
