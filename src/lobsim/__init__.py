@@ -10,7 +10,7 @@ distributions), impact (virtual market impact curves), experiments
 (seed fan-out, sweeps, CSV emission), cli.
 """
 
-from .agents import OrderIntent, TraderKind, TraderSpec, TraderState
+from .agents import TraderKind, TraderSpec
 from .impact import ImpactCurve, curve_distance, impact_distribution, quantile_volumes
 from .orderbook import (
     Depth,
@@ -42,7 +42,6 @@ __all__ = [
     "ImpactCurve",
     "Order",
     "OrderBook",
-    "OrderIntent",
     "OrderRejected",
     "Scenario",
     "ScenarioResult",
@@ -54,7 +53,6 @@ __all__ = [
     "Trade",
     "TraderKind",
     "TraderSpec",
-    "TraderState",
     "bigtrader_scenario",
     "calibrate_c",
     "curve_distance",

@@ -1,4 +1,4 @@
-"""Trader behaviors: distribution draws and order-intent generation.
+"""Trader behaviors: the distribution draws of one activation.
 
 Two trader kinds share one rule set. A trader activates, flips a fair
 coin for side, draws a limit price from a normal centered on the best
@@ -9,7 +9,9 @@ kappa = 1; BigTrader scales its order sizes by kappa.
 
 All draws consume the caller's RNG stream in a fixed order per
 activation: side, price, volume, lifetime, waiting time. Two runs with
-equal seeds therefore produce identical intent sequences.
+equal seeds therefore produce identical draw sequences. A trader holds
+no state of its own: the run loop builds the order and schedules the
+next activation from the draws.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .orderbook import Side, price_to_tick, tick_to_price
 __all__ = [
     "TraderKind",
     "TraderSpec",
-    "TraderState",
-    "OrderIntent",
     "draw_waiting_time",
     "draw_lifetime",
     "draw_volume",
@@ -79,23 +79,6 @@ class TraderSpec:
             raise ValueError("sigma_price must be positive")
 
 
-@dataclass(slots=True)
-class TraderState:
-    """One live trader: identity, its group spec, next activation step."""
-
-    trader_id: int
-    spec: TraderSpec
-    next_active_step: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class OrderIntent:
-    side: Side
-    limit: int
-    shares: int
-    lifetime_steps: int
-
-
 def draw_waiting_time(rng: np.random.Generator, c: float, n_traders: int) -> int:
     """Steps until a trader's next activation: Exp(mean c*N), ceiling, >= 1."""
     if c <= 0:
@@ -145,7 +128,7 @@ def draw_limit_price(
 
 
 def act(
-    trader: TraderState,
+    spec: TraderSpec,
     book_view,
     rng: np.random.Generator,
     step: int,
@@ -153,16 +136,17 @@ def act(
     n_traders: int,
     mu_vol: float,
     fallback_price: float,
-) -> OrderIntent:
-    """One activation: build an order intent and reschedule the trader.
+) -> tuple[Side, int, int, int, int]:
+    """One activation of a trader of group ``spec`` at ``step``.
 
-    Side is a fair coin flip; draws consume the RNG stream in the fixed
-    order side, price, volume, lifetime, waiting time.
+    Returns ``(side, limit, shares, lifetime, wait)``: the order's side,
+    limit tick, size and lifetime in steps, and the steps until the
+    trader's next activation. Side is a fair coin flip; draws consume
+    the RNG stream in that order. The draws do not depend on ``step``;
+    it names the activation for wrappers that watch the calls.
     """
-    spec = trader.spec
     side = Side.BUY if rng.random() < 0.5 else Side.SELL
     limit = draw_limit_price(rng, side, book_view, spec.sigma_price, fallback_price)
     shares = draw_volume(rng, mu_vol, spec.kappa)
     lifetime = draw_lifetime(rng, spec.mu_lifetime)
-    trader.next_active_step = step + draw_waiting_time(rng, c, n_traders)
-    return OrderIntent(side=side, limit=limit, shares=shares, lifetime_steps=lifetime)
+    return side, limit, shares, lifetime, draw_waiting_time(rng, c, n_traders)

@@ -24,6 +24,7 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from itertools import islice
 from pathlib import Path
 
@@ -50,14 +51,12 @@ __all__ = [
     "scenario_from_config",
     "write_config",
     "worker_pool",
-    "STEPS_PER_DAY",
     "WORKERS_ENV_VAR",
 ]
 
 # 390 trading minutes per day, matching the US session the empirical
 # calibration targets come from.
 MINUTES_PER_DAY = 390
-STEPS_PER_DAY = 390 * 60
 
 WORKERS_ENV_VAR = "LOBSIM_WORKERS"
 
@@ -107,12 +106,11 @@ class Scenario:
             )
 
     def effective_config(self) -> SimConfig:
-        """Config with a snapshot cadence forced on when snapshots are needed."""
-        cfg = self.config
-        needs_snaps = self.outputs & {"impact_curves", "snapshots"}
-        if needs_snaps and cfg.snapshot_interval == 0:
-            cfg = replace(cfg, snapshot_interval=60)
-        return cfg
+        """Config with snapshots exactly when an output reads depth: the
+        config's own cadence (every 60 steps if it has none), else none."""
+        reads_depth = self.outputs & {"impact_curves", "snapshots"}
+        interval = (self.config.snapshot_interval or 60) if reads_depth else 0
+        return replace(self.config, snapshot_interval=interval)
 
 
 @dataclass
@@ -569,18 +567,22 @@ def _write_pooled_csvs(scenario_dir: Path, scenario: Scenario,
 # ----------------------------------------------------------------------
 
 
-# Config keys by cast; unset ones keep the dataclass defaults.
-# trader.<group>.<key>: TraderSpec fields
-_TRADER_KEYS = {"kind": TraderKind, "count": int, "kappa": float,
-                "mu_lifetime": float, "sigma_price": float}
+# Config keys by cast, in the order write_config emits them; unset ones
+# keep the dataclass defaults.
 # SimConfig fields; two keys differ from their field names
 _SIM_KEYS = {**dict.fromkeys(("c", "mu_vol", "tick_size", "start_price"), float),
              **dict.fromkeys(("horizon", "warmup", "snapshot_interval",
                               "base_seed", "steps_per_minute"), int)}
 _SIM_FIELDS = {"horizon": "horizon_T", "base_seed": "seed"}
-# Scenario fields: comma-separated lists, then single values
-_SCENARIO_LISTS = {"outputs": str, "impact_volumes": int, "impact_quantiles": float}
-_SCENARIO_KEYS = {"vol_window": int, "impact_side": Side, "impact_censored": str}
+# Scenario fields
+_SCENARIO_KEYS = {"outputs": str, "vol_window": int, "impact_quantiles": float,
+                  "impact_side": Side, "impact_censored": str,
+                  "impact_volumes": int}
+# trader.<group>.<key>: TraderSpec fields
+_TRADER_KEYS = {"kind": TraderKind, "count": int, "kappa": float,
+                "mu_lifetime": float, "sigma_price": float}
+# keys whose values are comma-separated lists
+_LIST_KEYS = frozenset({"seeds", "outputs", "impact_quantiles", "impact_volumes"})
 
 
 def _parse(key: str, raw: str, cast):
@@ -655,50 +657,39 @@ def scenario_from_config(path: str | Path) -> Scenario:
         n_seeds = take("n_seeds", 1, int)
         seeds = tuple(derive_seed(master, i) for i in range(n_seeds))
 
-    given = {key: _parse_list(key, entries.pop(key), cast)
-             for key, cast in _SCENARIO_LISTS.items() if key in entries}
-    given.update({key: _parse(key, entries.pop(key), cast)
-                  for key, cast in _SCENARIO_KEYS.items() if key in entries})
+    given = {key: (_parse_list if key in _LIST_KEYS else _parse)(
+                 key, entries.pop(key), cast)
+             for key, cast in _SCENARIO_KEYS.items() if key in entries}
     scenario = Scenario(name=name, config=config, seeds=seeds, **given)
     if entries:
         raise ValueError(f"unknown config keys: {sorted(entries)}")
     return scenario
 
 
+def _format(key: str, value) -> str:
+    """A value as the file holds it: lists comma-joined (outputs sorted),
+    enums by value, strs as they are, the rest by repr (the casts read it)."""
+    if key in _LIST_KEYS:
+        items = sorted(value) if key == "outputs" else value
+        return ", ".join(_format("", v) for v in items)
+    if isinstance(value, Enum):
+        return value.value
+    return value if isinstance(value, str) else repr(value)
+
+
 def write_config(scenario: Scenario, path: str | Path) -> None:
     """Serialize a scenario to the flat config format (round-trips)."""
     cfg = scenario.config
-    lines = [
-        f"name = {scenario.name}",
-        f"seeds = {', '.join(str(s) for s in scenario.seeds)}",
-        f"c = {cfg.c!r}",
-        f"mu_vol = {cfg.mu_vol!r}",
-        f"tick_size = {cfg.tick_size!r}",
-        f"start_price = {cfg.start_price!r}",
-        f"horizon = {cfg.horizon_T}",
-        f"warmup = {cfg.warmup}",
-        f"snapshot_interval = {cfg.snapshot_interval}",
-        f"base_seed = {cfg.seed}",
-        f"steps_per_minute = {cfg.steps_per_minute}",
-        f"outputs = {', '.join(sorted(scenario.outputs))}",
-        f"vol_window = {scenario.vol_window}",
-        f"impact_quantiles = {', '.join(repr(q) for q in scenario.impact_quantiles)}",
-        f"impact_side = {scenario.impact_side.value}",
-        f"impact_censored = {scenario.impact_censored}",
-    ]
-    if scenario.impact_volumes:
-        lines.append(
-            f"impact_volumes = {', '.join(str(v) for v in scenario.impact_volumes)}"
-        )
+    entries = {"name": scenario.name, "seeds": scenario.seeds}
+    entries.update((key, getattr(cfg, _SIM_FIELDS.get(key, key)))
+                   for key in _SIM_KEYS)
+    entries.update((key, getattr(scenario, key)) for key in _SCENARIO_KEYS)
+    if not scenario.impact_volumes:
+        del entries["impact_volumes"]
     for i, spec in enumerate(cfg.trader_specs):
-        g = f"g{i:02d}"
-        lines += [
-            f"trader.{g}.kind = {spec.kind.value}",
-            f"trader.{g}.count = {spec.count}",
-            f"trader.{g}.kappa = {spec.kappa!r}",
-            f"trader.{g}.mu_lifetime = {spec.mu_lifetime!r}",
-            f"trader.{g}.sigma_price = {spec.sigma_price!r}",
-        ]
+        entries.update((f"trader.g{i:02d}.{key}", getattr(spec, key))
+                       for key in _TRADER_KEYS)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(f"{key} = {_format(key, value)}\n"
+                            for key, value in entries.items()))

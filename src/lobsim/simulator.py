@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agents import TraderSpec, TraderState, act, draw_waiting_time
+from .agents import TraderSpec, act, draw_waiting_time
 from .orderbook import Depth, Order, OrderBook, Trade
 
 __all__ = [
@@ -135,25 +135,20 @@ def run(config: SimConfig) -> SimOutput:
     warmup = config.warmup
     snap_every = config.snapshot_interval
 
-    traders: list[TraderState] = []
-    for spec in config.trader_specs:
-        for _ in range(spec.count):
-            traders.append(TraderState(trader_id=len(traders), spec=spec))
-
-    # Initial activations: one waiting-time draw per trader, in id order.
+    # A trader is its id: specs[id] is its group; schedule[step] lists the
+    # ids activating at step, seeded by one waiting-time draw per trader
+    # in id order.
+    specs = [spec for spec in config.trader_specs for _ in range(spec.count)]
     schedule: dict[int, list[int]] = {}
-    for trader in traders:
-        first = draw_waiting_time(rng, c, n_traders)
-        trader.next_active_step = first
-        schedule.setdefault(first, []).append(trader.trader_id)
+    for trader_id in range(n_traders):
+        schedule.setdefault(draw_waiting_time(rng, c, n_traders), []).append(trader_id)
 
     tape: list[Trade] = []
     price_series = np.empty(horizon, dtype=np.float64)
     volume_series = np.empty(horizon, dtype=np.int64)
     snapshots: list[Depth] = []
     last_price = config.start_price
-    next_order_id = 0
-    n_submitted = 0
+    next_order_id = 0  # also the count of orders submitted
     n_expired = 0
 
     for step in range(1, horizon + 1):
@@ -161,25 +156,17 @@ def run(config: SimConfig) -> SimOutput:
         if active:
             rng.shuffle(active)
             for trader_id in active:
-                trader = traders[trader_id]
-                intent = act(trader, book, rng, step, c, n_traders, mu_vol,
-                             last_price)
+                side, limit, shares, lifetime, wait = act(
+                    specs[trader_id], book, rng, step, c, n_traders, mu_vol,
+                    last_price)
                 next_order_id += 1
-                order = Order(
-                    id=next_order_id,
-                    trader_id=trader_id,
-                    side=intent.side,
-                    limit=intent.limit,
-                    shares=intent.shares,
-                    placed_step=step,
-                    expires_step=step + intent.lifetime_steps,
-                )
-                trades, _ = book.submit(order, step)
-                n_submitted += 1
+                trades, _ = book.submit(
+                    Order(next_order_id, trader_id, side, limit, shares,
+                          step, step + lifetime), step)
                 if trades:
                     tape.extend(trades)
                     last_price = trades[-1].tick * tick_size
-                schedule.setdefault(trader.next_active_step, []).append(trader_id)
+                schedule.setdefault(step + wait, []).append(trader_id)
         n_expired += len(book.expire(step))
         price_series[step - 1] = last_price
         volume_series[step - 1] = book.resting_shares()
@@ -195,7 +182,7 @@ def run(config: SimConfig) -> SimOutput:
         resting_volume_series=volume_series,
         depth=Depth.concat(snapshots, tick_size),
         trades_per_minute=post_trades / minutes,
-        n_submitted=n_submitted,
+        n_submitted=next_order_id,
         n_expired=n_expired,
         n_resting_end=book.resting_orders(),
     )

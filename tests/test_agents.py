@@ -1,4 +1,4 @@
-"""Distribution draws and order-intent generation."""
+"""Distribution draws of one trader activation."""
 
 import math
 
@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from lobsim.agents import (
-    OrderIntent,
     TraderKind,
     TraderSpec,
-    TraderState,
     act,
     draw_lifetime,
     draw_limit_price,
@@ -174,23 +172,25 @@ def test_marketable_fraction_half_when_sigma_dominates_spread(rng):
 
 
 def _activate_many(rng, n_acts, spec=None, book=None):
+    """``n_acts`` activations of one trader: the orders' (side, limit,
+    shares, lifetime) draws and the waiting-time gaps between them."""
     spec = spec or TraderSpec()
     book = book or _two_sided_book()
-    trader = TraderState(trader_id=0, spec=spec, next_active_step=1)
-    intents = []
+    orders = []
     gaps = []
-    step = trader.next_active_step
+    step = 1
     for _ in range(n_acts):
-        intents.append(act(trader, book, rng, step, c=2.0, n_traders=10,
-                           mu_vol=10.0, fallback_price=100.0))
-        gaps.append(trader.next_active_step - step)
-        step = trader.next_active_step
-    return intents, np.array(gaps)
+        *order, wait = act(spec, book, rng, step, c=2.0, n_traders=10,
+                           mu_vol=10.0, fallback_price=100.0)
+        orders.append(tuple(order))
+        gaps.append(wait)
+        step += wait
+    return orders, np.array(gaps)
 
 
 def test_act_side_balance(rng):
     intents, _ = _activate_many(rng, 100_000)
-    buys = sum(1 for i in intents if i.side is Side.BUY)
+    buys = sum(1 for side, *_ in intents if side is Side.BUY)
     # Binomial(n, 1/2): reject outside 4 sigma
     n = len(intents)
     assert abs(buys - n / 2) < 4 * math.sqrt(n * 0.25)
@@ -199,9 +199,9 @@ def test_act_side_balance(rng):
 def test_act_one_intent_with_valid_fields(rng):
     intents, gaps = _activate_many(rng, 5_000)
     assert len(intents) == 5_000
-    assert all(isinstance(i, OrderIntent) for i in intents)
-    assert all(i.shares >= 1 and i.lifetime_steps >= 1 and i.limit >= 1
-               for i in intents)
+    assert all(isinstance(side, Side) for side, *_ in intents)
+    assert all(shares >= 1 and lifetime >= 1 and limit >= 1
+               for _, limit, shares, lifetime in intents)
     assert (gaps >= 1).all()
 
 
@@ -213,9 +213,28 @@ def test_act_gaps_match_exponential(rng):
 
 
 def test_act_stream_deterministic():
-    intents_a, _ = _activate_many(np.random.default_rng(7), 500)
-    intents_b, _ = _activate_many(np.random.default_rng(7), 500)
+    intents_a, gaps_a = _activate_many(np.random.default_rng(7), 500)
+    intents_b, gaps_b = _activate_many(np.random.default_rng(7), 500)
     assert intents_a == intents_b
+    assert gaps_a.tolist() == gaps_b.tolist()
+
+
+def test_act_draws_in_fixed_order():
+    # side, price, volume, lifetime, waiting time: the stream every run
+    # (and so every seeded result) is built on
+    spec = TraderSpec(kind=TraderKind.BIG, kappa=3.0, mu_lifetime=200.0)
+    book = _two_sided_book()
+    got = act(spec, book, np.random.default_rng(11), 5, 2.0, 10, 10.0, 100.0)
+    rng = np.random.default_rng(11)
+    side = Side.BUY if rng.random() < 0.5 else Side.SELL
+    expected = (
+        side,
+        draw_limit_price(rng, side, book, spec.sigma_price, 100.0),
+        draw_volume(rng, 10.0, 3.0),
+        draw_lifetime(rng, 200.0),
+        draw_waiting_time(rng, 2.0, 10),
+    )
+    assert got == expected
 
 
 def test_trader_spec_validation():

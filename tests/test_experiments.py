@@ -18,6 +18,7 @@ from lobsim.experiments import (
     with_lifetime,
     write_config,
 )
+from lobsim.orderbook import Side
 from lobsim import experiments, simulator
 from lobsim.simulator import SimConfig, derive_seed, run
 
@@ -325,21 +326,72 @@ def test_config_parsing(tmp_path):
 
 
 def test_config_round_trip(tmp_path):
+    # every key away from its default, a BIG group with its own kappa
+    # and sigma, and no outputs at all
+    big = TraderSpec(kind=TraderKind.BIG, count=7, kappa=2.5,
+                     mu_lifetime=300.0, sigma_price=0.75)
     scen = replace(
-        tiny_scenario(),
+        tiny_scenario(c=5.5, mu_vol=12.5, tick_size=0.05, start_price=50.0,
+                      snapshot_interval=30, seed=9, steps_per_minute=30),
         outputs=frozenset({"return_pdf", "impact_curves"}),
+        vol_window=500,
         impact_volumes=(700, 1100),
+        impact_quantiles=(0.25, 0.75),
+        impact_side=Side.SELL,
         impact_censored="saturate",
     )
-    path = tmp_path / "rt.cfg"
+    scen = replace(scen, config=replace(
+        scen.config, trader_specs=scen.config.trader_specs + (big,)))
+    for case in (scen, replace(scen, outputs=frozenset())):
+        path = tmp_path / "rt.cfg"
+        write_config(case, path)
+        assert scenario_from_config(path) == case
+
+
+def test_config_text_is_pinned(tmp_path):
+    scen = Scenario(
+        name="pin",
+        config=SimConfig(
+            trader_specs=(TraderSpec(count=40, mu_lifetime=120.0),
+                          TraderSpec(kind=TraderKind.BIG, count=4, kappa=5.0,
+                                     mu_lifetime=120.0)),
+            c=5.045, horizon_T=20_000, snapshot_interval=60, seed=3),
+        seeds=(11, 4),
+        outputs=frozenset({"snapshots", "impact_curves", "return_pdf"}),
+        impact_volumes=(160, 10),
+        impact_side=Side.SELL,
+    )
+    path = tmp_path / "pin.cfg"
     write_config(scen, path)
-    back = scenario_from_config(path)
-    assert back.name == scen.name
-    assert back.seeds == scen.seeds
-    assert back.config == scen.config
-    assert back.outputs == scen.outputs
-    assert back.impact_volumes == scen.impact_volumes
-    assert back.impact_censored == scen.impact_censored
+    assert path.read_text() == """\
+name = pin
+seeds = 11, 4
+c = 5.045
+mu_vol = 10.0
+tick_size = 0.1
+start_price = 100.0
+horizon = 20000
+warmup = 1200
+snapshot_interval = 60
+base_seed = 3
+steps_per_minute = 60
+outputs = impact_curves, return_pdf, snapshots
+vol_window = 1000
+impact_quantiles = 0.1, 0.5, 0.9, 0.99
+impact_side = sell
+impact_censored = exclude
+impact_volumes = 160, 10
+trader.g00.kind = random
+trader.g00.count = 40
+trader.g00.kappa = 1.0
+trader.g00.mu_lifetime = 120.0
+trader.g00.sigma_price = 0.5
+trader.g01.kind = big
+trader.g01.count = 4
+trader.g01.kappa = 5.0
+trader.g01.mu_lifetime = 120.0
+trader.g01.sigma_price = 0.5
+"""
 
 
 def test_config_defaults_are_the_dataclass_defaults(tmp_path):
@@ -431,6 +483,7 @@ def test_cli_without_out_ships_no_snapshots(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert len(runs) == 6
     assert all(r.depth is None for r in runs)
+    assert all(r.n_snapshots == 0 for r in runs)  # none were even recorded
     # the statistics are the same as with snapshots written under --out
     assert main(["run", str(path), "--out", str(tmp_path / "out"),
                  "--workers", "1"]) == 0

@@ -402,6 +402,38 @@ def small_streams(draw):
     return stream
 
 
+def check_book_invariants(book, expired_through=None):
+    """The book's records agree with its queues.
+
+    Per side: every level's shares sum its queue and the levels sum to
+    the side total; the order count matches the queues and no queue is
+    empty; every occupied tick is in the heap and ``best()`` is the max
+    bid or min ask. Then: the book is not crossed, the order index holds
+    exactly the queued orders, each with its expiry heap entry, and
+    (with ``expired_through``) none of them is due by that step.
+    """
+    queued = {}
+    for side in (book._bids, book._asks):
+        assert side.levels.keys() == side.level_shares.keys()
+        for tick, queue in side.levels.items():
+            assert queue, f"empty queue at tick {tick}"
+            assert all(o.limit == tick and o.shares >= 1 for o in queue)
+            assert side.level_shares[tick] == sum(o.shares for o in queue)
+            queued.update((o.id, o) for o in queue)
+        assert sum(side.level_shares.values()) == side.total_shares
+        assert side.order_count == sum(map(len, side.levels.values()))
+        assert {side.sign * t for t in side.levels} <= set(side.heap)
+        best = min if side.sign > 0 else max
+        assert side.best() == (best(side.levels) if side.levels else None)
+    bid, ask = book.best_bid(), book.best_ask()
+    assert bid is None or ask is None or bid < ask
+    assert book._orders == queued  # same Order objects (identity equality)
+    assert {(o.expires_step, o.id) for o in queued.values()} <= set(
+        book._expiry_heap)
+    if expired_through is not None:
+        assert all(o.expires_step > expired_through for o in queued.values())
+
+
 @settings(max_examples=120, deadline=None)
 @given(small_streams())
 def test_stream_invariants(stream):
@@ -410,10 +442,12 @@ def test_stream_invariants(stream):
     for step, oid, side, tick, shares, expires in stream:
         while step_now < step:
             book.expire(step_now)
+            check_book_invariants(book, expired_through=step_now)
             step_now += 1
         trades, rested = book.submit(
             Order(oid, 0, side, tick, shares, step, expires), step
         )
+        check_book_invariants(book)
         # fills consume exactly what the aggressor loses
         filled = sum(t.shares for t in trades)
         assert filled <= shares
@@ -430,6 +464,11 @@ def test_stream_invariants(stream):
         if bid is not None and ask is not None:
             assert bid < ask
         assert all(t.shares >= 1 for t in trades)
+    # drain: expiry empties the book by the last order's expiry step
+    for step in range(step_now, max(expires for *_, expires in stream) + 1):
+        book.expire(step)
+        check_book_invariants(book, expired_through=step)
+    assert book.resting_orders() == 0
 
 
 @settings(max_examples=60, deadline=None)
