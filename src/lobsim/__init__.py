@@ -18,7 +18,6 @@ from .orderbook import (
     OrderBook,
     OrderRejected,
     Side,
-    Trade,
     price_to_tick,
     tick_to_price,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SimOutput",
     "SweepResult",
     "SweepRow",
-    "Trade",
     "TraderKind",
     "TraderSpec",
     "bigtrader_scenario",

@@ -17,6 +17,7 @@ next activation from the draws.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +47,25 @@ class TraderKind(Enum):
     BIG = "big"
 
 
+def cast_fields(obj, casts: dict, each=()) -> None:
+    """Cast the fields of the frozen dataclass ``obj`` named in ``casts``
+    (field -> cast); a field in ``each`` becomes a tuple cast item by item.
+    Ints cast by ``operator.index``, so numpy ints pass and 2.5 fails.
+    A value its cast rejects, or a float that is not finite, raises a
+    ValueError naming the field."""
+    for name, cast in casts.items():
+        value = getattr(obj, name)
+        try:
+            items = tuple(map(cast, value if name in each else (value,)))
+        except (TypeError, ValueError):
+            kind = "int" if cast is operator.index else cast.__name__
+            raise ValueError(
+                f"{name} = {value!r} is not a valid {kind}") from None
+        if cast is float and not all(map(math.isfinite, items)):
+            raise ValueError(f"{name} must be finite, got {value}")
+        object.__setattr__(obj, name, items if name in each else items[0])
+
+
 @dataclass(frozen=True)
 class TraderSpec:
     """Parameters shared by one group of identical traders."""
@@ -57,10 +77,9 @@ class TraderSpec:
     sigma_price: float = 0.5
 
     def __post_init__(self):
-        for name in ("kappa", "mu_lifetime", "sigma_price"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        cast_fields(self, {"kind": TraderKind, "count": operator.index,
+                           **dict.fromkeys(("kappa", "mu_lifetime",
+                                            "sigma_price"), float)})
         if self.count < 1:
             raise ValueError("trader count must be >= 1")
         if self.kappa < 1:

@@ -20,6 +20,7 @@ use dotted keys like ``trader.random.count``.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .agents import TraderKind, TraderSpec
+from .agents import TraderKind, TraderSpec, cast_fields
 from .impact import (ImpactCurve, impact_distribution, quantile_volumes,
                      walk_depth)
 from .orderbook import Depth, Side
@@ -80,11 +81,11 @@ class Scenario:
     impact_censored: str = "exclude"
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        object.__setattr__(
-            self, "impact_volumes", tuple(int(v) for v in self.impact_volumes)
-        )
+        cast_fields(self, {"seeds": operator.index, "outputs": frozenset,
+                           "vol_window": operator.index,
+                           "impact_volumes": operator.index,
+                           "impact_quantiles": float, "impact_side": Side},
+                    each=("seeds", "impact_volumes", "impact_quantiles"))
         if not self.name:
             raise ValueError("scenario needs a name")
         if not self.seeds:
@@ -218,10 +219,8 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
         else:
             # quantile volumes are pooled: hand the depth back instead
             art.depth = depth
-            art.tape_shares = np.array(
-                [t.shares for t in output.trade_tape if t.step > cfg.warmup],
-                dtype=np.int64,
-            )
+            tape = output.trade_tape
+            art.tape_shares = tape["shares"][tape["step"] > cfg.warmup]
     art.n_snapshots = len(depth)
     if "snapshots" in scenario.outputs and out_dir is None:
         # nothing on disk to hold it: hand the depth back in memory
@@ -465,12 +464,13 @@ def _write_run_csvs(runs_dir: Path, scenario: Scenario, output: SimOutput,
                     art: RunArtifacts) -> None:
     cfg = output.config
     seed_dir = runs_dir / str(cfg.seed)
-    tick = cfg.tick_size
+    tape = output.trade_tape
     _write_csv(
         seed_dir / "trade_tape.csv",
         ("step", "price", "shares", "aggressor_side"),
-        [(t.step, t.tick * tick, t.shares, t.aggressor_side.value)
-         for t in output.trade_tape],
+        zip(tape["step"].tolist(), (tape["tick"] * cfg.tick_size).tolist(),
+            tape["shares"].tolist(),
+            np.where(tape["buy"], Side.BUY.value, Side.SELL.value).tolist()),
     )
     if art.volatilities is not None:
         _write_csv(

@@ -9,7 +9,9 @@ heap over (expires_step, order_id).
 
 Supports crossing limit orders (fills execute at the resting order's
 tick, remainder rests), market orders (unfilled remainder is discarded),
-end-of-step expiry and per-level depth snapshots (``Depth``).
+end-of-step expiry and per-level depth snapshots (``Depth``). Each fill
+is a plain ``(tick, shares, resting_id)`` tuple; the aggressor is the
+order that was submitted.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 __all__ = [
     "Side",
     "Order",
-    "Trade",
     "Depth",
     "OrderBook",
     "OrderRejected",
@@ -61,24 +62,11 @@ class Order:
     """A limit order; ``shares`` is the remaining size while resting."""
 
     id: int
-    trader_id: int
     side: Side
     limit: int
     shares: int
     placed_step: int
     expires_step: int
-
-
-@dataclass(frozen=True, slots=True)
-class Trade:
-    """One fill. Executes at the resting order's tick."""
-
-    step: int
-    tick: int
-    shares: int
-    aggressor_id: int
-    resting_id: int
-    aggressor_side: Side
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,12 +203,12 @@ class OrderBook:
     # order entry
     # ------------------------------------------------------------------
 
-    def submit(self, order: Order, step: int) -> tuple[list[Trade], int | None]:
+    def submit(self, order: Order) -> tuple[list, int | None]:
         """Match a limit order, resting any non-crossing remainder.
 
         Fills walk the opposite side best-first while its price satisfies
         the limit, executing at the resting order's tick. Returns the
-        trades and the order id if a remainder rested, else None.
+        fills and the order id if a remainder rested, else None.
         """
         if order.id <= self._last_id:
             raise OrderRejected(f"order id {order.id} not strictly increasing")
@@ -238,46 +226,38 @@ class OrderBook:
             own, other = self._asks, self._bids
         best = other.best()
         if best is not None and other.sign * (best - order.limit) <= 0:
-            trades = self._match(order, other, step, order.limit)
+            fills, order.shares = self._match(order.shares, other, order.limit)
             if order.shares == 0:
-                return trades, None
+                return fills, None
         else:
-            trades = []
+            fills = []
 
         own.add(order)
         self._orders[order.id] = order
         heapq.heappush(self._expiry_heap, (order.expires_step, order.id))
-        return trades, order.id
+        return fills, order.id
 
-    def submit_market(
-        self, side: Side, shares: int, step: int, aggressor_id: int = -1
-    ) -> tuple[list[Trade], int]:
+    def submit_market(self, side: Side, shares: int) -> tuple[list, int]:
         """Consume the opposite side best-first until filled or empty.
 
         The unfilled remainder is discarded (a market order has no limit
-        to rest at). Returns the trades and the unfilled share count.
+        to rest at). Returns the fills and the unfilled share count.
         """
         if shares < 1:
             raise OrderRejected("market order shares must be >= 1")
-        order = Order(
-            id=aggressor_id, trader_id=aggressor_id, side=side, limit=0,
-            shares=shares, placed_step=step, expires_step=step,
-        )
-        book_side = self._asks if side is Side.BUY else self._bids
-        trades = self._match(order, book_side, step, None)
-        return trades, order.shares
+        return self._match(shares, self._asks if side is Side.BUY else self._bids,
+                           None)
 
-    def _match(
-        self, order: Order, book_side: _BookSide, step: int, limit: int | None
-    ) -> list[Trade]:
-        """Fill ``order`` against ``book_side`` best-first.
+    def _match(self, shares: int, book_side: _BookSide,
+               limit: int | None) -> tuple[list, int]:
+        """Fill ``shares`` against ``book_side`` best-first.
 
         Levels are consumed while they cross ``limit`` (None: always,
         for market orders). Level and side totals are updated once per
         level; a fully consumed level's tick is the heap top, so it is
-        popped at once.
+        popped at once. Returns the fills and the shares left unfilled.
         """
-        trades: list[Trade] = []
+        fills: list[tuple[int, int, int]] = []
         orders = self._orders
         levels = book_side.levels
         level_shares = book_side.level_shares
@@ -286,9 +266,7 @@ class OrderBook:
         # a level crosses when sign * tick <= sign * limit: asks (sign +1)
         # at or below a buy limit, bids (sign -1) at or above a sell limit
         bound = None if limit is None else sign * limit
-        remaining = order.shares
-        aggressor_id = order.id
-        aggressor_side = order.side
+        remaining = shares
         while remaining > 0:
             best = book_side.best()
             if best is None or (bound is not None and sign * best > bound):
@@ -299,8 +277,7 @@ class OrderBook:
                 resting = queue[0]
                 left = resting.shares
                 fill = remaining if remaining < left else left
-                trades.append(Trade(step, best, fill, aggressor_id,
-                                    resting.id, aggressor_side))
+                fills.append((best, fill, resting.id))
                 remaining -= fill
                 level_fill += fill
                 if fill == left:
@@ -317,8 +294,7 @@ class OrderBook:
                 del levels[best]
                 del level_shares[best]
                 heapq.heappop(heap)
-        order.shares = remaining
-        return trades
+        return fills, remaining
 
     # ------------------------------------------------------------------
     # expiry

@@ -13,18 +13,19 @@ they hit the target, each measurement's seeds on a process pool if given.
 
 from __future__ import annotations
 
-import math
+import operator
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agents import TraderSpec, act, draw_waiting_time
-from .orderbook import Depth, Order, OrderBook, Trade
+from .agents import TraderSpec, act, cast_fields, draw_waiting_time
+from .orderbook import Depth, Order, OrderBook, Side
 
 __all__ = [
     "SimConfig",
     "SimOutput",
+    "TAPE_DTYPE",
     "run",
     "calibrate_c",
     "calibration_probe",
@@ -34,6 +35,10 @@ __all__ = [
 
 PROBE_SEEDS = 5  # probe runs per calibration measurement
 PROBE_HORIZON = 30_000  # steps per probe run
+
+# a trade tape row: one fill's step, tick and shares, and whether its aggressor bought
+TAPE_DTYPE = np.dtype([("step", np.int64), ("tick", np.int64),
+                       ("shares", np.int64), ("buy", np.bool_)])
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -67,14 +72,16 @@ class SimConfig:
     steps_per_minute: int = 60
 
     def __post_init__(self):
-        if not self.trader_specs:
-            object.__setattr__(self, "trader_specs", ())
-        else:
-            object.__setattr__(self, "trader_specs", tuple(self.trader_specs))
-        for name in ("c", "mu_vol", "tick_size", "start_price"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        object.__setattr__(self, "trader_specs", tuple(self.trader_specs or ()))
+        if self.warmup is None:
+            lifetimes = [s.mu_lifetime for s in self.trader_specs]
+            object.__setattr__(
+                self, "warmup", int(10 * max(lifetimes)) if lifetimes else 0
+            )
+        cast_fields(self, {
+            **dict.fromkeys(("c", "mu_vol", "tick_size", "start_price"), float),
+            **dict.fromkeys(("horizon_T", "warmup", "snapshot_interval", "seed",
+                             "steps_per_minute"), operator.index)})
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.mu_vol <= 0:
@@ -85,11 +92,6 @@ class SimConfig:
             raise ValueError("steps_per_minute must be >= 1")
         if self.snapshot_interval < 0:
             raise ValueError("snapshot_interval must be >= 0")
-        if self.warmup is None:
-            lifetimes = [s.mu_lifetime for s in self.trader_specs]
-            object.__setattr__(
-                self, "warmup", int(10 * max(lifetimes)) if lifetimes else 0
-            )
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         if self.horizon_T <= self.warmup:
@@ -108,12 +110,13 @@ class SimOutput:
     (carried forward through tradeless steps, start_price before the
     first trade), so the series has exactly horizon_T entries and no
     gaps. ``resting_volume_series`` counts total shares resting in the
-    book after each step's expiry. ``depth`` holds one row per snapshot
-    (none when ``snapshot_interval`` is 0).
+    book after each step's expiry. ``trade_tape`` is a structured array
+    of ``TAPE_DTYPE``, one row per fill in fill order. ``depth`` holds
+    one row per snapshot (none when ``snapshot_interval`` is 0).
     """
 
     config: SimConfig
-    trade_tape: list[Trade]
+    trade_tape: np.ndarray
     price_series: np.ndarray
     resting_volume_series: np.ndarray
     depth: Depth
@@ -143,7 +146,7 @@ def run(config: SimConfig) -> SimOutput:
     for trader_id in range(n_traders):
         schedule.setdefault(draw_waiting_time(rng, c, n_traders), []).append(trader_id)
 
-    tape: list[Trade] = []
+    tape: list[tuple[int, int, int, bool]] = []  # TAPE_DTYPE rows
     price_series = np.empty(horizon, dtype=np.float64)
     volume_series = np.empty(horizon, dtype=np.int64)
     snapshots: list[Depth] = []
@@ -160,12 +163,12 @@ def run(config: SimConfig) -> SimOutput:
                     specs[trader_id], book, rng, step, c, n_traders, mu_vol,
                     last_price)
                 next_order_id += 1
-                trades, _ = book.submit(
-                    Order(next_order_id, trader_id, side, limit, shares,
-                          step, step + lifetime), step)
-                if trades:
-                    tape.extend(trades)
-                    last_price = trades[-1].tick * tick_size
+                fills, _ = book.submit(Order(next_order_id, side, limit, shares,
+                                             step, step + lifetime))
+                if fills:
+                    buy = side is Side.BUY
+                    tape += [(step, tick, n, buy) for tick, n, _ in fills]
+                    last_price = fills[-1][0] * tick_size
                 schedule.setdefault(step + wait, []).append(trader_id)
         n_expired += len(book.expire(step))
         price_series[step - 1] = last_price
@@ -173,11 +176,12 @@ def run(config: SimConfig) -> SimOutput:
         if snap_every and step > warmup and step % snap_every == 0:
             snapshots.append(book.snapshot(step))
 
-    post_trades = sum(1 for t in tape if t.step > warmup)
+    trade_tape = np.array(tape, dtype=TAPE_DTYPE)
+    post_trades = int(np.count_nonzero(trade_tape["step"] > warmup))
     minutes = (horizon - warmup) / config.steps_per_minute
     return SimOutput(
         config=config,
-        trade_tape=tape,
+        trade_tape=trade_tape,
         price_series=price_series,
         resting_volume_series=volume_series,
         depth=Depth.concat(snapshots, tick_size),

@@ -51,9 +51,7 @@ def build_random_book(
             side = Side.SELL
             limit = center_tick + 1 + int(abs(rng.normal(0.0, sigma_ticks)))
         shares = max(1, int(round(rng.exponential(size_mean))))
-        book.submit(
-            Order(next_id, 0, side, max(1, limit), shares, 0, 10**9), step=0
-        )
+        book.submit(Order(next_id, side, max(1, limit), shares, 0, 10**9))
         next_id += 1
     return book
 

@@ -152,7 +152,7 @@ def _oracle_stream(stream_seed: int) -> tuple[bool, int]:
                          lifetime_mean=40.0)
     book = OrderBook()
     ref = ReferenceMatcher()
-    trades = []
+    tape = []
     ref_tape = []
     step_now = 1
     last_step = stream[-1][0]
@@ -161,12 +161,11 @@ def _oracle_stream(stream_seed: int) -> tuple[bool, int]:
             book.expire(step_now)
             ref.expire(step_now)
             step_now += 1
-        trades += book.submit(
-            Order(oid, 0, side, tick, shares, step, expires), step
-        )[0]
+        fills = book.submit(Order(oid, side, tick, shares, step, expires))[0]
+        # the reference's tuple: the fill plus the submitted order
+        tape += [(step, fill_tick, n, oid, resting_id, side.value)
+                 for fill_tick, n, resting_id in fills]
         ref_tape += ref.submit(oid, side.value, tick, shares, step, expires)[0]
-    tape = [(t.step, t.tick, t.shares, t.aggressor_id, t.resting_id,
-             t.aggressor_side.value) for t in trades]
     for step in range(step_now, last_step + 1):
         expired = sorted(book.expire(step))
         if expired != ref.expire(step):

@@ -128,8 +128,8 @@ def test_volume_validation(rng):
 
 def _two_sided_book() -> OrderBook:
     book = OrderBook(tick_size=0.1)
-    book.submit(Order(1, 0, Side.BUY, 998, 5, 0, 10**9), 0)
-    book.submit(Order(2, 0, Side.SELL, 1002, 5, 0, 10**9), 0)
+    book.submit(Order(1, Side.BUY, 998, 5, 0, 10**9))
+    book.submit(Order(2, Side.SELL, 1002, 5, 0, 10**9))
     return book
 
 
@@ -250,5 +250,15 @@ def test_trader_spec_validation():
                          ("kappa", math.nan), ("kappa", math.inf)]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TraderSpec(kind=TraderKind.BIG, **{field: value})
+    with pytest.raises(ValueError, match=r"count = 2\.5 is not a valid int"):
+        TraderSpec(count=2.5)
+    with pytest.raises(ValueError, match="kind = 'huge' is not a valid TraderKind"):
+        TraderSpec(kind="huge")
+    spec = TraderSpec(kind="big", count=np.int64(30), kappa=np.float64(5.0),
+                      mu_lifetime=1200)
+    assert spec == TraderSpec(kind=TraderKind.BIG, count=30, kappa=5.0,
+                              mu_lifetime=1200.0)
+    assert (type(spec.count), type(spec.kappa), type(spec.mu_lifetime)) == (
+        int, float, float)
     spec = TraderSpec(kind=TraderKind.BIG, count=30, kappa=5.0, mu_lifetime=1200.0)
     assert spec.kappa == 5.0

@@ -126,6 +126,12 @@ def test_scenario_validation(tmp_path):
     for quantiles in ((1.5,), (0.0, 0.5), (float("nan"),)):
         with pytest.raises(ValueError, match="impact_quantiles"):
             replace(tiny_scenario(), impact_quantiles=quantiles)
+    for field, value in (("seeds", (1, 2.5)), ("vol_window", 500.0),
+                         ("impact_volumes", (10, 2.5))):
+        with pytest.raises(ValueError, match=f"{field} = .* not a valid int"):
+            replace(tiny_scenario(), **{field: value})
+    with pytest.raises(ValueError, match="impact_side = 'up' is not a valid Side"):
+        replace(tiny_scenario(), impact_side="up")
     path = tmp_path / "zero_volume.cfg"
     path.write_text("name = z\ntrader.a.count = 5\nimpact_volumes = 0\n")
     with pytest.raises(ValueError, match="impact_volumes"):
@@ -180,6 +186,37 @@ def test_pinned_volume_deeper_than_one_seeds_book():
         run_scenario(replace(scen, impact_volumes=(10**6,)), workers=1)
 
 
+def test_string_impact_side_walks_the_same_side():
+    scen = replace(tiny_scenario(seeds=(5,)), outputs=frozenset({"impact_curves"}),
+                   impact_volumes=(5, 40))
+    for side in Side:
+        by_enum = run_scenario(replace(scen, impact_side=side), workers=1)
+        by_value = run_scenario(replace(scen, impact_side=side.value), workers=1)
+        for v in (5, 40):
+            a, b = by_enum.impact_curves[v], by_value.impact_curves[v]
+            np.testing.assert_array_equal(a.samples, b.samples)
+            assert a.censored_count == b.censored_count
+            assert b.side is side
+        assert by_value.scenario.impact_side is side
+
+
+def test_trade_tape_csv_is_the_tape(tmp_path):
+    scen = tiny_scenario(seeds=(5,))
+    run_scenario(scen, out_dir=tmp_path, workers=1)
+    tape = run(replace(scen.effective_config(), seed=5)).trade_tape
+    lines = (tmp_path / "tiny/runs/5/trade_tape.csv").read_text().splitlines()
+    assert lines[0] == "step,price,shares,aggressor_side"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == tape.size > 0
+    assert [int(r[0]) for r in rows] == tape["step"].tolist()
+    assert [float(r[1]) for r in rows] == (
+        tape["tick"] * scen.config.tick_size).tolist()
+    assert [int(r[2]) for r in rows] == tape["shares"].tolist()
+    assert [r[3] for r in rows] == [
+        "buy" if buy else "sell" for buy in tape["buy"].tolist()]
+    assert {r[3] for r in rows} == {"buy", "sell"}
+
+
 def test_impact_outputs_quantile_path():
     scen = replace(
         tiny_scenario(),
@@ -215,7 +252,7 @@ def test_bigtrader_zero_is_base():
     assert same.config == base.config
     out_a = run(replace(base.config, seed=4))
     out_b = run(replace(same.config, seed=4))
-    assert out_a.trade_tape == out_b.trade_tape
+    assert np.array_equal(out_a.trade_tape, out_b.trade_tape)
 
 
 def test_bigtrader_kappa_one_equals_bigger_random_population():
@@ -229,7 +266,7 @@ def test_bigtrader_kappa_one_equals_bigger_random_population():
     )
     out_mixed = run(replace(mixed.config, seed=6))
     out_pure = run(replace(pure.config, seed=6))
-    assert out_mixed.trade_tape == out_pure.trade_tape
+    assert np.array_equal(out_mixed.trade_tape, out_pure.trade_tape)
     assert (out_mixed.price_series == out_pure.price_series).all()
 
 
@@ -342,7 +379,17 @@ def test_config_round_trip(tmp_path):
     )
     scen = replace(scen, config=replace(
         scen.config, trader_specs=scen.config.trader_specs + (big,)))
-    for case in (scen, replace(scen, outputs=frozenset())):
+    # the same scenario built from numpy scalars is stored as plain numbers
+    as_numpy = replace(
+        scen, seeds=tuple(np.array(scen.seeds)), vol_window=np.int64(500),
+        impact_volumes=tuple(np.array([700, 1100])),
+        impact_quantiles=tuple(np.array([0.25, 0.75])),
+        config=replace(scen.config, c=np.float64(5.5), horizon_T=np.int64(15_000),
+                       trader_specs=(scen.config.trader_specs[0],
+                                     replace(big, count=np.int64(7),
+                                             kappa=np.float64(2.5)))))
+    assert as_numpy == scen
+    for case in (scen, replace(scen, outputs=frozenset()), as_numpy):
         path = tmp_path / "rt.cfg"
         write_config(case, path)
         assert scenario_from_config(path) == case

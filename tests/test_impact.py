@@ -129,10 +129,10 @@ def _rebuild(snap) -> OrderBook:
     oid = 0
     for tick, shares in zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()):
         oid += 1
-        book.submit(Order(oid, 0, Side.BUY, tick, shares, 0, 10**9), 0)
+        book.submit(Order(oid, Side.BUY, tick, shares, 0, 10**9))
     for tick, shares in zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()):
         oid += 1
-        book.submit(Order(oid, 0, Side.SELL, tick, shares, 0, 10**9), 0)
+        book.submit(Order(oid, Side.SELL, tick, shares, 0, 10**9))
     return book
 
 
@@ -169,8 +169,8 @@ def test_curves_match_destructive_execution(rng, side, censored):
                 book = _rebuild(snap)
                 pre_best = (book.best_ask() if side is Side.BUY
                             else book.best_bid())
-                trades, _ = book.submit_market(side, v, step=0)
-                realized.append(abs(trades[-1].tick - pre_best) * snap.tick_size)
+                fills, _ = book.submit_market(side, v)
+                realized.append(abs(fills[-1][0] - pre_best) * snap.tick_size)
             np.testing.assert_allclose(curve.samples, np.array(realized))
             assert curve.censored_count == sum(d < v for d in depths)
 

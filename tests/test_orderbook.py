@@ -22,8 +22,8 @@ from .helpers import build_random_book, depth_rows, make_stream
 from .reference_matcher import ReferenceMatcher
 
 
-def limit(oid, side, tick, shares, step=0, expires=10**9, trader=0):
-    return Order(oid, trader, side, tick, shares, step, expires)
+def limit(oid, side, tick, shares, step=0, expires=10**9):
+    return Order(oid, side, tick, shares, step, expires)
 
 
 # ----------------------------------------------------------------------
@@ -33,8 +33,8 @@ def limit(oid, side, tick, shares, step=0, expires=10**9, trader=0):
 
 def test_submit_into_empty_book_rests():
     book = OrderBook()
-    trades, rested = book.submit(limit(1, Side.BUY, 1005, 10), step=0)
-    assert trades == []
+    fills, rested = book.submit(limit(1, Side.BUY, 1005, 10))
+    assert fills == []
     assert rested == 1
     assert book.best_bid() == 1005
     assert book.best_ask() is None
@@ -42,22 +42,19 @@ def test_submit_into_empty_book_rests():
 
 def test_crossing_buy_fills_at_resting_price():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 7), step=0)
-    trades, rested = book.submit(limit(2, Side.BUY, 1010, 5), step=1)
+    book.submit(limit(1, Side.SELL, 1003, 7))
+    fills, rested = book.submit(limit(2, Side.BUY, 1010, 5))
     assert rested is None
-    assert len(trades) == 1
-    t = trades[0]
-    assert (t.tick, t.shares, t.aggressor_id, t.resting_id) == (1003, 5, 2, 1)
-    assert t.aggressor_side is Side.BUY
+    assert fills == [(1003, 5, 1)]  # (tick, shares, resting id)
     snap = book.snapshot(step=1)  # remainder of the resting order
     assert (snap.ask_ticks.tolist(), snap.ask_shares.tolist()) == ([1003], [2])
 
 
 def test_crossing_remainder_rests_at_own_limit():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 4), step=0)
-    trades, rested = book.submit(limit(2, Side.BUY, 1005, 10), step=0)
-    assert [t.shares for t in trades] == [4]
+    book.submit(limit(1, Side.SELL, 1003, 4))
+    fills, rested = book.submit(limit(2, Side.BUY, 1005, 10))
+    assert fills == [(1003, 4, 1)]
     assert rested == 2
     assert book.best_bid() == 1005
     assert book.best_ask() is None
@@ -65,40 +62,40 @@ def test_crossing_remainder_rests_at_own_limit():
 
 def test_price_time_priority_same_tick():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5), step=0)
-    book.submit(limit(2, Side.SELL, 1003, 5), step=0)
-    trades, _ = book.submit(limit(3, Side.BUY, 1003, 6), step=0)
-    assert [(t.resting_id, t.shares) for t in trades] == [(1, 5), (2, 1)]
+    book.submit(limit(1, Side.SELL, 1003, 5))
+    book.submit(limit(2, Side.SELL, 1003, 5))
+    fills, _ = book.submit(limit(3, Side.BUY, 1003, 6))
+    assert fills == [(1003, 5, 1), (1003, 1, 2)]
 
 
 def test_buy_walks_ascending_ticks():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1005, 3), step=0)
-    book.submit(limit(2, Side.SELL, 1003, 3), step=0)
-    book.submit(limit(3, Side.SELL, 1004, 3), step=0)
-    trades, _ = book.submit(limit(4, Side.BUY, 1005, 9), step=0)
-    assert [t.tick for t in trades] == [1003, 1004, 1005]
+    book.submit(limit(1, Side.SELL, 1005, 3))
+    book.submit(limit(2, Side.SELL, 1003, 3))
+    book.submit(limit(3, Side.SELL, 1004, 3))
+    fills, _ = book.submit(limit(4, Side.BUY, 1005, 9))
+    assert [tick for tick, _, _ in fills] == [1003, 1004, 1005]
 
 
 def test_duplicate_or_nonincreasing_id_rejected():
     book = OrderBook()
-    book.submit(limit(5, Side.BUY, 1000, 1), step=0)
+    book.submit(limit(5, Side.BUY, 1000, 1))
     with pytest.raises(OrderRejected):
-        book.submit(limit(5, Side.SELL, 1001, 1), step=0)
+        book.submit(limit(5, Side.SELL, 1001, 1))
     with pytest.raises(OrderRejected):
-        book.submit(limit(3, Side.SELL, 1001, 1), step=0)
+        book.submit(limit(3, Side.SELL, 1001, 1))
 
 
 def test_zero_shares_rejected():
     book = OrderBook()
     with pytest.raises(OrderRejected):
-        book.submit(limit(1, Side.BUY, 1000, 0), step=0)
+        book.submit(limit(1, Side.BUY, 1000, 0))
 
 
 def test_bad_limit_rejected():
     book = OrderBook()
     with pytest.raises(OrderRejected):
-        book.submit(limit(1, Side.BUY, 0, 5), step=0)
+        book.submit(limit(1, Side.BUY, 0, 5))
 
 
 # ----------------------------------------------------------------------
@@ -108,23 +105,23 @@ def test_bad_limit_rejected():
 
 def test_market_exact_fill():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1004, 5), step=0)
-    trades, unfilled = book.submit_market(Side.BUY, 5, step=1)
+    book.submit(limit(1, Side.SELL, 1004, 5))
+    fills, unfilled = book.submit_market(Side.BUY, 5)
     assert unfilled == 0
-    assert [(t.tick, t.shares) for t in trades] == [(1004, 5)]
+    assert fills == [(1004, 5, 1)]
     assert book.best_ask() is None
 
 
 def test_market_into_empty_side():
     book = OrderBook()
-    trades, unfilled = book.submit_market(Side.BUY, 7, step=0)
-    assert trades == [] and unfilled == 7
+    fills, unfilled = book.submit_market(Side.BUY, 7)
+    assert fills == [] and unfilled == 7
 
 
 def test_market_remainder_discarded():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1004, 3), step=0)
-    trades, unfilled = book.submit_market(Side.BUY, 10, step=0)
+    book.submit(limit(1, Side.SELL, 1004, 3))
+    _, unfilled = book.submit_market(Side.BUY, 10)
     assert unfilled == 7
     assert book.best_ask() is None
     assert book.best_bid() is None  # nothing rested
@@ -134,14 +131,14 @@ def test_market_spanning_levels_matches_cumulative_supply(rng):
     book = build_random_book(rng, n_orders=60)
     snap = book.snapshot(step=0)
     v = int(snap.ask_shares[:3].sum())  # exactly three levels deep
-    trades, unfilled = book.submit_market(Side.BUY, v, step=0)
+    fills, unfilled = book.submit_market(Side.BUY, v)
     assert unfilled == 0
-    ticks = [t.tick for t in trades]
+    ticks = [tick for tick, _, _ in fills]
     assert ticks == sorted(ticks)
     assert set(ticks) == set(snap.ask_ticks[:3].tolist())
     per_level = {}
-    for t in trades:
-        per_level[t.tick] = per_level.get(t.tick, 0) + t.shares
+    for tick, shares, _ in fills:
+        per_level[tick] = per_level.get(tick, 0) + shares
     expected = dict(zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()))
     assert all(per_level[t] == expected[t] for t in per_level)
 
@@ -153,7 +150,7 @@ def test_market_spanning_levels_matches_cumulative_supply(rng):
 
 def test_expire_single_order():
     book = OrderBook()
-    book.submit(limit(1, Side.BUY, 1000, 5, step=0, expires=7), step=0)
+    book.submit(limit(1, Side.BUY, 1000, 5, step=0, expires=7))
     assert book.expire(6) == []
     assert book.expire(7) == [1]
     assert book.resting_shares() == 0
@@ -177,14 +174,13 @@ def test_expiry_conservation(rng):
             expired_ids += book.expire(step_now)
             step_now += 1
         sizes[oid] = shares
-        trades, rested = book.submit(
-            Order(oid, 0, side, tick, shares, step, expires), step
-        )
+        book_fills, rested = book.submit(
+            Order(oid, side, tick, shares, step, expires))
         if rested is not None:
             rested_ids.add(rested)
-        for t in trades:
-            fills[t.resting_id] = fills.get(t.resting_id, 0) + t.shares
-            fills[t.aggressor_id] = fills.get(t.aggressor_id, 0) + t.shares
+        for _, n, resting_id in book_fills:
+            fills[resting_id] = fills.get(resting_id, 0) + n
+            fills[oid] = fills.get(oid, 0) + n
     for step in range(step_now, max(e for *_, e in stream) + 1):
         expired_ids += book.expire(step)
     assert book.resting_shares() == 0
@@ -208,10 +204,10 @@ def test_empty_book_has_no_best_prices():
 
 def test_best_ask_advances_after_level_cleared():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5), step=0)
-    book.submit(limit(2, Side.SELL, 1006, 4), step=0)
-    trades, _ = book.submit(limit(3, Side.BUY, 1003, 5), step=0)
-    assert len(trades) == 1
+    book.submit(limit(1, Side.SELL, 1003, 5))
+    book.submit(limit(2, Side.SELL, 1006, 4))
+    fills, _ = book.submit(limit(3, Side.BUY, 1003, 5))
+    assert len(fills) == 1
     assert book.best_ask() == 1006
 
 
@@ -228,15 +224,15 @@ def impact_shift(book, side, volume, saturate=False):
 
 def test_impact_absorbed_at_best_is_zero():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5), step=0)
-    book.submit(limit(2, Side.SELL, 1010, 5), step=0)
+    book.submit(limit(1, Side.SELL, 1003, 5))
+    book.submit(limit(2, Side.SELL, 1010, 5))
     assert impact_shift(book, Side.BUY, 5) == 0.0
 
 
 def test_impact_full_depth_walk():
     book = OrderBook(tick_size=0.1)
-    book.submit(limit(1, Side.SELL, 1003, 5), step=0)
-    book.submit(limit(2, Side.SELL, 1010, 5), step=0)
+    book.submit(limit(1, Side.SELL, 1003, 5))
+    book.submit(limit(2, Side.SELL, 1010, 5))
     assert impact_shift(book, Side.BUY, 10) == pytest.approx(0.7)
     assert impact_shift(book, Side.BUY, 11) is None
     assert impact_shift(book, Side.BUY, 11, saturate=True) == pytest.approx(0.7)
@@ -253,10 +249,10 @@ def _rebuild_book_from_snapshot(snap) -> OrderBook:
     oid = 0
     for tick, shares in zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()):
         oid += 1
-        book.submit(Order(oid, 0, Side.BUY, tick, shares, 0, 10**9), 0)
+        book.submit(Order(oid, Side.BUY, tick, shares, 0, 10**9))
     for tick, shares in zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()):
         oid += 1
-        book.submit(Order(oid, 0, Side.SELL, tick, shares, 0, 10**9), 0)
+        book.submit(Order(oid, Side.SELL, tick, shares, 0, 10**9))
     return book
 
 
@@ -273,8 +269,8 @@ def test_impact_matches_destructive_execution(rng, side):
         for v in (1, max(1, total // 3), total, total + 5):
             virtual = impact_shift(book, side, v, saturate=True)
             scratch = _rebuild_book_from_snapshot(snap)
-            trades, _ = scratch.submit_market(side, v, step=0)
-            realized = abs(trades[-1].tick - pre_best) * book.tick_size
+            fills, _ = scratch.submit_market(side, v)
+            realized = abs(fills[-1][0] - pre_best) * book.tick_size
             assert virtual == pytest.approx(realized)
             if v <= total:
                 assert impact_shift(book, side, v) == pytest.approx(realized)
@@ -367,9 +363,10 @@ def _run_both(stream):
             expired += book.expire(step_now)
             ref_expired += ref.expire(step_now)
             step_now += 1
-        trades, _ = book.submit(Order(oid, 0, side, tick, shares, step, expires), step)
-        tape += [(t.step, t.tick, t.shares, t.aggressor_id, t.resting_id,
-                  t.aggressor_side.value) for t in trades]
+        fills, _ = book.submit(Order(oid, side, tick, shares, step, expires))
+        # the reference's tuple: the fill plus the submitted order
+        tape += [(step, fill_tick, n, oid, resting_id, side.value)
+                 for fill_tick, n, resting_id in fills]
         ref_trades, _ = ref.submit(oid, side.value, tick, shares, step, expires)
         ref_tape += ref_trades
     for step in range(step_now, last_step + 1):
@@ -444,26 +441,25 @@ def test_stream_invariants(stream):
             book.expire(step_now)
             check_book_invariants(book, expired_through=step_now)
             step_now += 1
-        trades, rested = book.submit(
-            Order(oid, 0, side, tick, shares, step, expires), step
-        )
+        fills, rested = book.submit(
+            Order(oid, side, tick, shares, step, expires))
         check_book_invariants(book)
         # fills consume exactly what the aggressor loses
-        filled = sum(t.shares for t in trades)
+        filled = sum(n for _, n, _ in fills)
         assert filled <= shares
         assert (rested is None) == (filled == shares) or rested is not None
         # fill ticks monotone toward worse prices for the aggressor
-        ticks = [t.tick for t in trades]
+        ticks = [t for t, _, _ in fills]
         assert ticks == (sorted(ticks) if side is Side.BUY else
                          sorted(ticks, reverse=True))
         # per-tick FIFO: resting ids increase within one tick
-        for a, b in zip(trades, trades[1:]):
-            if a.tick == b.tick:
-                assert a.resting_id < b.resting_id
+        for a, b in zip(fills, fills[1:]):
+            if a[0] == b[0]:
+                assert a[2] < b[2]
         bid, ask = book.best_bid(), book.best_ask()
         if bid is not None and ask is not None:
             assert bid < ask
-        assert all(t.shares >= 1 for t in trades)
+        assert all(n >= 1 for _, n, _ in fills)
     # drain: expiry empties the book by the last order's expiry step
     for step in range(step_now, max(expires for *_, expires in stream) + 1):
         book.expire(step)

@@ -12,6 +12,7 @@ from lobsim.orderbook import Depth
 from lobsim.simulator import (
     SimConfig,
     SimOutput,
+    TAPE_DTYPE,
     calibrate_c,
     derive_seed,
     run,
@@ -40,7 +41,7 @@ def small_config(**overrides) -> SimConfig:
 def test_zero_traders_constant_price():
     cfg = SimConfig(trader_specs=(), c=1.0, horizon_T=500, warmup=0, seed=1)
     out = run(cfg)
-    assert out.trade_tape == []
+    assert out.trade_tape.dtype == TAPE_DTYPE and out.trade_tape.size == 0
     assert (out.price_series == cfg.start_price).all()
     assert (out.resting_volume_series == 0).all()
     assert out.trades_per_minute == 0.0
@@ -49,7 +50,7 @@ def test_zero_traders_constant_price():
 def test_same_seed_bit_identical():
     a = run(small_config())
     b = run(small_config())
-    assert a.trade_tape == b.trade_tape
+    assert np.array_equal(a.trade_tape, b.trade_tape)
     assert (a.price_series == b.price_series).all()
     assert (a.resting_volume_series == b.resting_volume_series).all()
     assert a.trades_per_minute == b.trades_per_minute
@@ -60,7 +61,7 @@ def test_same_seed_bit_identical():
 def test_different_seeds_differ():
     a = run(small_config(seed=1))
     b = run(small_config(seed=2))
-    assert a.trade_tape != b.trade_tape
+    assert not np.array_equal(a.trade_tape, b.trade_tape)
 
 
 def test_output_shapes_and_carry_forward():
@@ -70,15 +71,16 @@ def test_output_shapes_and_carry_forward():
     assert out.resting_volume_series.shape == (cfg.horizon_T,)
     assert np.isfinite(out.price_series).all()
     # carried-forward prices only change on steps with trades
-    trade_steps = {t.step for t in out.trade_tape}
+    trade_steps = set(out.trade_tape["step"].tolist())
     changes = np.nonzero(np.diff(out.price_series))[0] + 2  # steps, 1-based
     assert set(changes.tolist()) <= trade_steps
 
 
 def test_trade_steps_within_horizon():
     out = run(small_config())
-    assert all(1 <= t.step <= 20_000 for t in out.trade_tape)
-    assert all(t.shares >= 1 for t in out.trade_tape)
+    tape = out.trade_tape
+    assert ((tape["step"] >= 1) & (tape["step"] <= 20_000)).all()
+    assert (tape["shares"] >= 1).all()
 
 
 def test_order_accounting_partition():
@@ -119,6 +121,16 @@ def test_config_validation():
                          ("tick_size", math.inf), ("start_price", math.nan)]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             small_config(**{field: value})
+    # int fields take integers only, numpy's included; floats become floats
+    for field, value in [("horizon_T", 5000.0), ("warmup", 1500.5),
+                         ("seed", "99"), ("steps_per_minute", 60.0)]:
+        with pytest.raises(ValueError, match=f"{field} = .* not a valid int"):
+            small_config(**{field: value})
+    with pytest.raises(ValueError, match="c = 'fast' is not a valid float"):
+        small_config(c="fast")
+    cfg = small_config(horizon_T=np.int64(20_000), c=np.float64(5.0), mu_vol=10)
+    assert type(cfg.horizon_T) is int and cfg.horizon_T == 20_000
+    assert type(cfg.c) is float and type(cfg.mu_vol) is float
     cfg = small_config(warmup=None)
     assert cfg.warmup == 1200  # 10x the 120-step lifetime
 
@@ -135,7 +147,7 @@ def _manual_output(prices, warmup=0, spm=60) -> SimOutput:
     )
     return SimOutput(
         config=cfg,
-        trade_tape=[],
+        trade_tape=np.empty(0, dtype=TAPE_DTYPE),
         price_series=np.asarray(prices, dtype=float),
         resting_volume_series=np.zeros(len(prices), dtype=np.int64),
         depth=Depth.concat([], cfg.tick_size),
@@ -182,9 +194,10 @@ def test_minute_series_excludes_warmup():
 def test_tpm_measures_post_warmup_tape():
     out = run(small_config())
     cfg = out.config
-    post = sum(1 for t in out.trade_tape if t.step > cfg.warmup)
+    post = sum(1 for step in out.trade_tape["step"] if step > cfg.warmup)
     minutes = (cfg.horizon_T - cfg.warmup) / cfg.steps_per_minute
     assert out.trades_per_minute == pytest.approx(post / minutes)
+    assert type(out.trades_per_minute) is float  # its repr is in digests
 
 
 def _mean_tpm(cfg: SimConfig, c: float, n_seeds: int = 3) -> float:
