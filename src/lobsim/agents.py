@@ -7,11 +7,16 @@ exponential order size scaled by kappa, an exponential lifetime, and an
 exponential waiting time to its next activation. RandomTrader has
 kappa = 1; BigTrader scales its order sizes by kappa.
 
-All draws consume the caller's RNG stream in a fixed order per
-activation: side, price, volume, lifetime, waiting time. Two runs with
-equal seeds therefore produce identical draw sequences. A trader holds
-no state of its own: the run loop builds the order and schedules the
-next activation from the draws.
+The run draws its randomness in blocks of standardized values, which
+serve every trader group: ``normal(loc, s)`` is ``loc + s * z`` and
+``exponential(s)`` is ``s * e``. ``draw_block`` takes the draws for
+``DRAW_BLOCK`` activations from the caller's RNG with one numpy call per
+draw kind, in a fixed order: ``random(B)``, ``standard_normal(B)``,
+``standard_exponential((3, B))``. Activation i reads row i, ``(u, z,
+e_vol, e_lt, e_wait)``, and ``act`` scales that row by its group's
+parameters. Two runs with equal seeds therefore produce identical draw
+sequences. A trader holds no state of its own: the run loop builds the
+order and schedules the next activation from what ``act`` returns.
 """
 
 from __future__ import annotations
@@ -29,10 +34,8 @@ from .orderbook import Side, price_to_tick, tick_to_price
 __all__ = [
     "TraderKind",
     "TraderSpec",
-    "draw_waiting_time",
-    "draw_lifetime",
-    "draw_volume",
-    "draw_limit_price",
+    "DRAW_BLOCK",
+    "draw_block",
     "act",
     "MIN_RECOMMENDED_LIFETIME",
 ]
@@ -40,6 +43,8 @@ __all__ = [
 # Below ~40 steps the book empties out and price formation degenerates to
 # the placement distribution; allowed, but flagged.
 MIN_RECOMMENDED_LIFETIME = 40.0
+
+DRAW_BLOCK = 1024  # activations per refill of the standardized draws
 
 
 class TraderKind(Enum):
@@ -98,74 +103,53 @@ class TraderSpec:
             raise ValueError("sigma_price must be positive")
 
 
-def draw_waiting_time(rng: np.random.Generator, c: float, n_traders: int) -> int:
-    """Steps until a trader's next activation: Exp(mean c*N), ceiling, >= 1."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if n_traders < 1:
-        raise ValueError("n_traders must be >= 1")
-    return max(1, math.ceil(rng.exponential(c * n_traders)))
-
-
-def draw_lifetime(rng: np.random.Generator, mu_lt: float) -> int:
-    """Order lifetime in steps: Exp(mean mu_lt), ceiling, >= 1."""
-    return max(1, math.ceil(rng.exponential(mu_lt)))
-
-
-def draw_volume(rng: np.random.Generator, mu_vol: float, kappa: float = 1.0) -> int:
-    """Order size in shares: kappa * Exp(mean mu_vol), nearest int, >= 1."""
-    if mu_vol <= 0:
-        raise ValueError("mu_vol must be positive")
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    return max(1, int(round(kappa * rng.exponential(mu_vol))))
-
-
-def draw_limit_price(
-    rng: np.random.Generator,
-    side: Side,
-    book_view,
-    sigma_price: float,
-    fallback_price: float,
-) -> int:
-    """Limit tick from a normal centered on the own-side best price.
-
-    Buys center on the best bid, sells on the best ask. When that side
-    is empty the draw centers on ``fallback_price`` (last trade price,
-    else the starting price). Result is rounded to the nearest tick and
-    clamped to tick 1.
-    """
-    if sigma_price <= 0:
-        raise ValueError("sigma_price must be positive")
-    center_tick = book_view.best_bid() if side is Side.BUY else book_view.best_ask()
-    if center_tick is not None:
-        center = tick_to_price(center_tick, book_view.tick_size)
-    else:
-        center = fallback_price
-    price = rng.normal(center, sigma_price)
-    return price_to_tick(price, book_view.tick_size)
+def draw_block(rng: np.random.Generator):
+    """Standardized draws ``(u, z, e_vol, e_lt, e_wait)`` for the next
+    ``DRAW_BLOCK`` activations, one row each, from one numpy call per
+    draw kind in this order: uniforms, standard normals, and three rows
+    of standard exponentials (volume, lifetime, wait)."""
+    n = DRAW_BLOCK
+    return zip(rng.random(n).tolist(), rng.standard_normal(n).tolist(),
+               *rng.standard_exponential((3, n)).tolist())
 
 
 def act(
     spec: TraderSpec,
     book_view,
-    rng: np.random.Generator,
+    draws: tuple[float, float, float, float, float],
     step: int,
-    c: float,
-    n_traders: int,
+    mean_wait: float,
     mu_vol: float,
     fallback_price: float,
 ) -> tuple[Side, int, int, int, int]:
     """One activation of a trader of group ``spec`` at ``step``.
 
-    Returns ``(side, limit, shares, lifetime, wait)``: the order's side,
+    Turns one row of standardized draws ``(u, z, e_vol, e_lt, e_wait)``
+    into ``(side, limit, shares, lifetime, wait)``: the order's side,
     limit tick, size and lifetime in steps, and the steps until the
-    trader's next activation. Side is a fair coin flip; draws consume
-    the RNG stream in that order. The draws do not depend on ``step``;
-    it names the activation for wrappers that watch the calls.
+    trader's next activation.
+
+    - side: BUY when u < 0.5, else SELL;
+    - limit: N(center, sigma_price) rounded to the nearest tick and
+      clamped to tick 1, centered on the best price of the trader's own
+      side (best bid for buys, best ask for sells), or on
+      ``fallback_price`` when that side is empty;
+    - shares: kappa * Exp(mean mu_vol), nearest int, >= 1;
+    - lifetime: Exp(mean mu_lifetime), ceiling, >= 1;
+    - wait: Exp(mean ``mean_wait`` = c*N), ceiling, >= 1.
+
+    The draws do not depend on ``step``; it names the activation for
+    wrappers that watch the calls.
     """
-    side = Side.BUY if rng.random() < 0.5 else Side.SELL
-    limit = draw_limit_price(rng, side, book_view, spec.sigma_price, fallback_price)
-    shares = draw_volume(rng, mu_vol, spec.kappa)
-    lifetime = draw_lifetime(rng, spec.mu_lifetime)
-    return side, limit, shares, lifetime, draw_waiting_time(rng, c, n_traders)
+    u, z, e_vol, e_lt, e_wait = draws
+    if u < 0.5:
+        side, center = Side.BUY, book_view.best_bid()
+    else:
+        side, center = Side.SELL, book_view.best_ask()
+    tick_size = book_view.tick_size
+    price = fallback_price if center is None else tick_to_price(center, tick_size)
+    return (side,
+            price_to_tick(price + spec.sigma_price * z, tick_size),
+            max(1, round(spec.kappa * mu_vol * e_vol)),
+            max(1, math.ceil(spec.mu_lifetime * e_lt)),
+            max(1, math.ceil(mean_wait * e_wait)))

@@ -58,13 +58,13 @@ def walk_depth(
 
     Walks cumulative depth away from the best price on the opposite
     side of the order's flow: a buy consumes asks, a sell consumes
-    bids. The shift is the distance, in price units, from the best
-    level to the level holding the ``volume``-th share. When a side
-    holds less than ``volume`` in total the row is censored: it yields
-    no shift by default, or the full-depth walk (shift to the deepest
-    occupied level, where an actual market order's last fill would
-    land) with ``saturate=True``. Empty sides are censored and never
-    yield a shift.
+    bids. ``side`` is a ``Side`` or its value ("buy" or "sell"). The
+    shift is the distance, in price units, from the best level to the
+    level holding the ``volume``-th share. When a side holds less than
+    ``volume`` in total the row is censored: it yields no shift by
+    default, or the full-depth walk (shift to the deepest occupied
+    level, where an actual market order's last fill would land) with
+    ``saturate=True``. Empty sides are censored and never yield a shift.
 
     Returns the shifts in row order and the censored count. All rows
     are walked at once under one cumulative sum of the side's shares
@@ -73,7 +73,7 @@ def walk_depth(
     """
     if volume < 1:
         raise ValueError("volume must be >= 1")
-    if side is Side.BUY:
+    if Side(side) is Side.BUY:
         sizes, ticks, shares = depth.ask_counts, depth.ask_ticks, depth.ask_shares
     else:
         sizes, ticks, shares = depth.bid_counts, depth.bid_ticks, depth.bid_shares
@@ -132,7 +132,7 @@ def impact_distribution(
         )
     return ImpactCurve(
         volume=volume,
-        side=side,
+        side=Side(side),
         samples=shifts,
         censored_count=n_censored,
         n_snapshots=len(depth),

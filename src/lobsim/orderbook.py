@@ -208,7 +208,8 @@ class OrderBook:
 
         Fills walk the opposite side best-first while its price satisfies
         the limit, executing at the resting order's tick. Returns the
-        fills and the order id if a remainder rested, else None.
+        fills and the order id if a remainder rested, else None. A side
+        given by its value ("buy" or "sell") is cast to ``Side``.
         """
         if order.id <= self._last_id:
             raise OrderRejected(f"order id {order.id} not strictly increasing")
@@ -218,6 +219,8 @@ class OrderBook:
             raise OrderRejected("order limit must be a valid tick (>= 1)")
         if order.expires_step < order.placed_step:
             raise OrderRejected("order expires before placement")
+        if order.side is not Side.BUY and order.side is not Side.SELL:
+            order.side = Side(order.side)  # "buy" or "sell"; else ValueError
         self._last_id = order.id
 
         if order.side is Side.BUY:
@@ -245,8 +248,8 @@ class OrderBook:
         """
         if shares < 1:
             raise OrderRejected("market order shares must be >= 1")
-        return self._match(shares, self._asks if side is Side.BUY else self._bids,
-                           None)
+        return self._match(shares, self._asks if Side(side) is Side.BUY
+                           else self._bids, None)
 
     def _match(self, shares: int, book_side: _BookSide,
                limit: int | None) -> tuple[list, int]:

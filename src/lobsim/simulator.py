@@ -13,13 +13,14 @@ they hit the target, each measurement's seeds on a process pool if given.
 
 from __future__ import annotations
 
+import math
 import operator
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .agents import TraderSpec, act, cast_fields, draw_waiting_time
+from .agents import TraderSpec, act, cast_fields, draw_block
 from .orderbook import Depth, Order, OrderBook, Side
 
 __all__ = [
@@ -132,19 +133,21 @@ def run(config: SimConfig) -> SimOutput:
     book = OrderBook(config.tick_size)
     tick_size = config.tick_size
     n_traders = config.n_traders
-    c = config.c
+    mean_wait = config.c * n_traders
     mu_vol = config.mu_vol
     horizon = config.horizon_T
     warmup = config.warmup
     snap_every = config.snapshot_interval
 
     # A trader is its id: specs[id] is its group; schedule[step] lists the
-    # ids activating at step, seeded by one waiting-time draw per trader
-    # in id order.
+    # ids activating at step, seeded by one block of standard exponential
+    # waits, one per trader in id order. Activations then read their draws
+    # row by row from blocks refilled as they run out (agents.draw_block).
     specs = [spec for spec in config.trader_specs for _ in range(spec.count)]
     schedule: dict[int, list[int]] = {}
-    for trader_id in range(n_traders):
-        schedule.setdefault(draw_waiting_time(rng, c, n_traders), []).append(trader_id)
+    for trader_id, e in enumerate(rng.standard_exponential(n_traders).tolist()):
+        schedule.setdefault(max(1, math.ceil(mean_wait * e)), []).append(trader_id)
+    rows = iter(())
 
     tape: list[tuple[int, int, int, bool]] = []  # TAPE_DTYPE rows
     price_series = np.empty(horizon, dtype=np.float64)
@@ -157,10 +160,15 @@ def run(config: SimConfig) -> SimOutput:
     for step in range(1, horizon + 1):
         active = schedule.pop(step, None)
         if active:
-            rng.shuffle(active)
+            if len(active) > 1:  # shuffling one id draws nothing
+                rng.shuffle(active)
             for trader_id in active:
+                draws = next(rows, None)
+                if draws is None:
+                    rows = draw_block(rng)
+                    draws = next(rows)
                 side, limit, shares, lifetime, wait = act(
-                    specs[trader_id], book, rng, step, c, n_traders, mu_vol,
+                    specs[trader_id], book, draws, step, mean_wait, mu_vol,
                     last_price)
                 next_order_id += 1
                 fills, _ = book.submit(Order(next_order_id, side, limit, shares,

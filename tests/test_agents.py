@@ -5,32 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lobsim.agents import (
-    TraderKind,
-    TraderSpec,
-    act,
-    draw_lifetime,
-    draw_limit_price,
-    draw_volume,
-    draw_waiting_time,
-)
+from lobsim.agents import DRAW_BLOCK, TraderKind, TraderSpec, act, draw_block
 from lobsim.orderbook import Order, OrderBook, Side
 
-
-class StubRng:
-    """Fixed-value generator for clamp/rounding edge cases."""
-
-    def __init__(self, exponential=0.0, normal=0.0, random=0.0):
-        self._exp, self._norm, self._rand = exponential, normal, random
-
-    def exponential(self, scale):
-        return self._exp
-
-    def normal(self, loc, scale):
-        return loc + self._norm
-
-    def random(self):
-        return self._rand
+BUY_U, SELL_U = 0.25, 0.75  # uniforms that pick each side
 
 
 def discrete_ks(samples: np.ndarray, cdf_at) -> float:
@@ -40,6 +18,57 @@ def discrete_ks(samples: np.ndarray, cdf_at) -> float:
     return float(np.max(np.abs(ecdf - cdf_at(xs))))
 
 
+def _rows(rng, n: int) -> list:
+    """``n`` standardized draw rows, read block by block as a run reads them."""
+    rows = []
+    while len(rows) < n:
+        rows += draw_block(rng)
+    return rows[:n]
+
+
+def _two_sided_book() -> OrderBook:
+    book = OrderBook(tick_size=0.1)
+    book.submit(Order(1, Side.BUY, 998, 5, 0, 10**9))
+    book.submit(Order(2, Side.SELL, 1002, 5, 0, 10**9))
+    return book
+
+
+def _act_one(row, spec=None, book=None, mean_wait=20.0, mu_vol=10.0,
+             fallback_price=100.0):
+    return act(spec or TraderSpec(), book or _two_sided_book(), row, 1,
+               mean_wait, mu_vol, fallback_price)
+
+
+def _act_many(rng, n: int, spec=None, book=None, mean_wait=20.0, mu_vol=10.0,
+              fallback_price=100.0) -> dict[str, np.ndarray]:
+    """``act`` over ``n`` rows of ``rng``'s blocks, as one column per field."""
+    spec = spec or TraderSpec()
+    book = book or _two_sided_book()
+    out = [act(spec, book, row, 1, mean_wait, mu_vol, fallback_price)
+           for row in _rows(rng, n)]
+    sides, *numbers = zip(*out)
+    columns = dict(zip(("limit", "shares", "lifetime", "wait"),
+                       map(np.array, numbers)))
+    columns["buy"] = np.array([side is Side.BUY for side in sides])
+    return columns
+
+
+# ----------------------------------------------------------------------
+# draw blocks
+# ----------------------------------------------------------------------
+
+
+def test_draw_block_in_fixed_order():
+    # random(B), standard_normal(B), standard_exponential((3, B)): the
+    # stream every run (and so every seeded result) is built on
+    rows = list(draw_block(np.random.default_rng(11)))
+    rng = np.random.default_rng(11)
+    u = rng.random(DRAW_BLOCK)
+    z = rng.standard_normal(DRAW_BLOCK)
+    e = rng.standard_exponential((3, DRAW_BLOCK))
+    assert rows == list(zip(u.tolist(), z.tolist(), *e.tolist()))
+
+
 # ----------------------------------------------------------------------
 # waiting times
 # ----------------------------------------------------------------------
@@ -47,25 +76,17 @@ def discrete_ks(samples: np.ndarray, cdf_at) -> float:
 
 def test_waiting_time_mean(rng):
     c, n = 2.0, 100
-    draws = np.array([draw_waiting_time(rng, c, n) for _ in range(200_000)])
-    assert draws.min() >= 1
-    assert draws.mean() == pytest.approx(c * n, rel=0.01)
+    waits = _act_many(rng, 200_000, mean_wait=c * n)["wait"]
+    assert waits.min() >= 1
+    assert waits.mean() == pytest.approx(c * n, rel=0.01)
 
 
 def test_waiting_time_distribution(rng):
-    c, n = 1.5, 200
-    mu = c * n
-    draws = np.array([draw_waiting_time(rng, c, n) for _ in range(100_000)])
+    mu = 1.5 * 200
+    waits = _act_many(rng, 100_000, mean_wait=mu)["wait"]
     # ceil of Exp(mu): P(W <= k) = 1 - exp(-k/mu)
-    d = discrete_ks(draws, lambda k: 1.0 - np.exp(-k / mu))
+    d = discrete_ks(waits, lambda k: 1.0 - np.exp(-k / mu))
     assert d < 0.01
-
-
-def test_waiting_time_validation(rng):
-    with pytest.raises(ValueError):
-        draw_waiting_time(rng, 0.0, 10)
-    with pytest.raises(ValueError):
-        draw_waiting_time(rng, 1.0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -75,17 +96,17 @@ def test_waiting_time_validation(rng):
 
 def test_lifetime_mean_and_tail(rng):
     mu = 120.0
-    draws = np.array([draw_lifetime(rng, mu) for _ in range(200_000)])
-    assert draws.min() >= 1
-    assert draws.mean() == pytest.approx(mu, rel=0.01)
+    lifetimes = _act_many(rng, 200_000, spec=TraderSpec(mu_lifetime=mu))["lifetime"]
+    assert lifetimes.min() >= 1
+    assert lifetimes.mean() == pytest.approx(mu, rel=0.01)
     # ceil(X) > 120 iff X > 120 for integer threshold
-    assert np.mean(draws > 120) == pytest.approx(math.exp(-1), abs=0.01)
+    assert np.mean(lifetimes > 120) == pytest.approx(math.exp(-1), abs=0.01)
 
 
 def test_lifetime_distribution(rng):
     mu = 300.0
-    draws = np.array([draw_lifetime(rng, mu) for _ in range(100_000)])
-    d = discrete_ks(draws, lambda k: 1.0 - np.exp(-k / mu))
+    lifetimes = _act_many(rng, 100_000, spec=TraderSpec(mu_lifetime=mu))["lifetime"]
+    d = discrete_ks(lifetimes, lambda k: 1.0 - np.exp(-k / mu))
     assert d < 0.01
 
 
@@ -100,25 +121,30 @@ def test_short_lifetime_flagged():
 
 
 def test_volume_mean_random_trader(rng):
-    draws = np.array([draw_volume(rng, 10.0, 1.0) for _ in range(500_000)])
-    assert draws.min() >= 1
-    assert draws.mean() == pytest.approx(10.0, rel=0.02)
+    shares = _act_many(rng, 500_000, mu_vol=10.0)["shares"]
+    assert shares.min() >= 1
+    assert shares.mean() == pytest.approx(10.0, rel=0.02)
 
 
 def test_volume_mean_scaled(rng):
-    draws = np.array([draw_volume(rng, 10.0, 5.0) for _ in range(500_000)])
-    assert draws.mean() == pytest.approx(50.0, rel=0.02)
+    spec = TraderSpec(kind=TraderKind.BIG, kappa=5.0)
+    shares = _act_many(rng, 500_000, spec=spec, mu_vol=10.0)["shares"]
+    assert shares.mean() == pytest.approx(50.0, rel=0.02)
+
+
+def test_volume_distribution(rng):
+    mu = 3.0 * 10.0
+    spec = TraderSpec(kind=TraderKind.BIG, kappa=3.0)
+    shares = _act_many(rng, 100_000, spec=spec, mu_vol=10.0)["shares"]
+    # nearest int of Exp(mu), at least 1: P(V <= k) = 1 - exp(-(k + 1/2)/mu)
+    d = discrete_ks(shares, lambda k: 1.0 - np.exp(-(k + 0.5) / mu))
+    assert d < 0.01
 
 
 def test_volume_clamped_to_one():
-    assert draw_volume(StubRng(exponential=0.2), 10.0, 1.0) == 1
-
-
-def test_volume_validation(rng):
-    with pytest.raises(ValueError):
-        draw_volume(rng, 0.0)
-    with pytest.raises(ValueError):
-        draw_volume(rng, 10.0, 0.5)
+    # 10 shares x 0.02 = 0.2 rounds to 0, clamped to 1
+    _, _, shares, _, _ = _act_one((BUY_U, 0.0, 0.02, 1.0, 1.0), mu_vol=10.0)
+    assert shares == 1
 
 
 # ----------------------------------------------------------------------
@@ -126,43 +152,44 @@ def test_volume_validation(rng):
 # ----------------------------------------------------------------------
 
 
-def _two_sided_book() -> OrderBook:
-    book = OrderBook(tick_size=0.1)
-    book.submit(Order(1, Side.BUY, 998, 5, 0, 10**9))
-    book.submit(Order(2, Side.SELL, 1002, 5, 0, 10**9))
-    return book
-
-
 def test_degenerate_sigma_returns_centering_tick():
-    book = _two_sided_book()
-    tick = draw_limit_price(StubRng(), Side.SELL, book, 1e-12, 100.0)
-    assert tick == 1002
-    tick = draw_limit_price(StubRng(), Side.BUY, book, 1e-12, 100.0)
-    assert tick == 998
+    # z = 0: the limit is the own side's best tick
+    assert _act_one((SELL_U, 0.0, 1.0, 1.0, 1.0))[:2] == (Side.SELL, 1002)
+    assert _act_one((BUY_U, 0.0, 1.0, 1.0, 1.0))[:2] == (Side.BUY, 998)
+
+
+def test_limits_center_on_own_side_best(rng):
+    draws = _act_many(rng, 100_000)  # sigma 0.5 = 5 ticks
+    buy = draws["buy"]
+    assert abs(draws["limit"][buy].mean() - 998) < 0.1
+    assert abs(draws["limit"][~buy].mean() - 1002) < 0.1
 
 
 def test_empty_book_centers_on_fallback(rng):
     book = OrderBook(tick_size=0.1)
-    draws = np.array([
-        draw_limit_price(rng, Side.BUY, book, 0.5, 100.0) for _ in range(100_000)
-    ])
-    assert abs(draws.mean() - 1000.0) < 0.5
+    limits = _act_many(rng, 100_000, book=book, fallback_price=100.0)["limit"]
+    assert abs(limits.mean() - 1000.0) < 0.5
+    # only the empty side falls back: bids only, a sell centers on 100.0
+    book.submit(Order(1, Side.BUY, 990, 5, 0, 10**9))
+    row = (SELL_U, 0.0, 1.0, 1.0, 1.0)
+    assert _act_one(row, book=book, fallback_price=100.0)[1] == 1000
+    assert _act_one((BUY_U, *row[1:]), book=book)[1] == 990
 
 
 def test_minimum_tick_clamp():
     book = OrderBook(tick_size=0.1)
-    assert draw_limit_price(StubRng(normal=-500.0), Side.BUY, book, 1.0, 1.0) == 1
+    _, limit, *_ = _act_one((BUY_U, -500.0, 1.0, 1.0, 1.0),
+                            spec=TraderSpec(sigma_price=1.0), book=book,
+                            fallback_price=1.0)
+    assert limit == 1
 
 
 def test_marketable_fraction_half_when_sigma_dominates_spread(rng):
     book = _two_sided_book()  # spread 4 ticks = 0.4 price units
-    sigma = 40.0  # price units: 400 ticks >> spread
-    best_ask = book.best_ask()
-    draws = np.array([
-        draw_limit_price(rng, Side.SELL, book, sigma, 100.0)
-        for _ in range(100_000)
-    ])
-    frac_below_ask = np.mean(draws < best_ask)
+    spec = TraderSpec(sigma_price=40.0)  # price units: 400 ticks >> spread
+    draws = _act_many(rng, 200_000, spec=spec, book=book)
+    sells = draws["limit"][~draws["buy"]]
+    frac_below_ask = np.mean(sells < book.best_ask())
     assert frac_below_ask == pytest.approx(0.5, abs=0.01)
 
 
@@ -171,70 +198,34 @@ def test_marketable_fraction_half_when_sigma_dominates_spread(rng):
 # ----------------------------------------------------------------------
 
 
-def _activate_many(rng, n_acts, spec=None, book=None):
-    """``n_acts`` activations of one trader: the orders' (side, limit,
-    shares, lifetime) draws and the waiting-time gaps between them."""
-    spec = spec or TraderSpec()
-    book = book or _two_sided_book()
-    orders = []
-    gaps = []
-    step = 1
-    for _ in range(n_acts):
-        *order, wait = act(spec, book, rng, step, c=2.0, n_traders=10,
-                           mu_vol=10.0, fallback_price=100.0)
-        orders.append(tuple(order))
-        gaps.append(wait)
-        step += wait
-    return orders, np.array(gaps)
-
-
 def test_act_side_balance(rng):
-    intents, _ = _activate_many(rng, 100_000)
-    buys = sum(1 for side, *_ in intents if side is Side.BUY)
+    buys = int(_act_many(rng, 100_000)["buy"].sum())
     # Binomial(n, 1/2): reject outside 4 sigma
-    n = len(intents)
+    n = 100_000
     assert abs(buys - n / 2) < 4 * math.sqrt(n * 0.25)
 
 
 def test_act_one_intent_with_valid_fields(rng):
-    intents, gaps = _activate_many(rng, 5_000)
+    book = _two_sided_book()
+    intents = [_act_one(row, book=book) for row in _rows(rng, 5_000)]
     assert len(intents) == 5_000
     assert all(isinstance(side, Side) for side, *_ in intents)
-    assert all(shares >= 1 and lifetime >= 1 and limit >= 1
-               for _, limit, shares, lifetime in intents)
-    assert (gaps >= 1).all()
+    assert all(shares >= 1 and lifetime >= 1 and limit >= 1 and wait >= 1
+               for _, limit, shares, lifetime, wait in intents)
+    assert all(type(x) is int for intent in intents for x in intent[1:])
 
 
 def test_act_gaps_match_exponential(rng):
-    _, gaps = _activate_many(rng, 100_000)
+    gaps = _act_many(rng, 100_000, mean_wait=2.0 * 10)["wait"]
     mu = 2.0 * 10
     d = discrete_ks(gaps, lambda k: 1.0 - np.exp(-k / mu))
     assert d < 0.01
 
 
 def test_act_stream_deterministic():
-    intents_a, gaps_a = _activate_many(np.random.default_rng(7), 500)
-    intents_b, gaps_b = _activate_many(np.random.default_rng(7), 500)
-    assert intents_a == intents_b
-    assert gaps_a.tolist() == gaps_b.tolist()
-
-
-def test_act_draws_in_fixed_order():
-    # side, price, volume, lifetime, waiting time: the stream every run
-    # (and so every seeded result) is built on
-    spec = TraderSpec(kind=TraderKind.BIG, kappa=3.0, mu_lifetime=200.0)
-    book = _two_sided_book()
-    got = act(spec, book, np.random.default_rng(11), 5, 2.0, 10, 10.0, 100.0)
-    rng = np.random.default_rng(11)
-    side = Side.BUY if rng.random() < 0.5 else Side.SELL
-    expected = (
-        side,
-        draw_limit_price(rng, side, book, spec.sigma_price, 100.0),
-        draw_volume(rng, 10.0, 3.0),
-        draw_lifetime(rng, 200.0),
-        draw_waiting_time(rng, 2.0, 10),
-    )
-    assert got == expected
+    a = _act_many(np.random.default_rng(7), 2_500)
+    b = _act_many(np.random.default_rng(7), 2_500)
+    assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_trader_spec_validation():

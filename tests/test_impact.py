@@ -59,6 +59,19 @@ def test_quantiles_validation():
 # ----------------------------------------------------------------------
 
 
+def test_string_side_walks_its_side():
+    book = OrderBook()
+    book.submit(Order(1, Side.SELL, 1010, 5, 0, 10**9))
+    book.submit(Order(2, Side.SELL, 1020, 5, 0, 10**9))
+    snap = book.snapshot(0)
+    for side in ("buy", Side.BUY):
+        shifts, censored = walk_depth(snap, side, 7)
+        assert shifts.tolist() == pytest.approx([1.0]) and censored == 0
+    assert impact_distribution(snap, "buy", 7).side is Side.BUY
+    with pytest.raises(ValueError, match="not a valid Side"):
+        walk_depth(snap, "up", 7)
+
+
 def test_unit_volume_concentrates_at_zero(rng):
     snaps = _snapshots(rng, 30, n_orders=60)
     curve = impact_distribution(pooled(snaps), Side.BUY, 1)

@@ -98,6 +98,28 @@ def test_bad_limit_rejected():
         book.submit(limit(1, Side.BUY, 0, 5))
 
 
+def _asks_1010_1020() -> OrderBook:
+    book = OrderBook()
+    book.submit(limit(1, Side.SELL, 1010, 5))
+    book.submit(limit(2, Side.SELL, 1020, 5))
+    return book
+
+
+def test_string_side_submit_is_read_as_its_side():
+    book = _asks_1010_1020()
+    order = limit(3, "buy", 1015, 2)
+    fills, rested = book.submit(order)
+    assert fills == [(1010, 2, 1)] and rested is None
+    assert order.side is Side.BUY
+    fills, rested = book.submit(limit(4, "buy", 1005, 2))
+    assert fills == [] and rested == 4
+    assert book.best_bid() == 1005
+    book.expire(10**9)  # a cast side is also the side expiry removes from
+    assert book.resting_orders() == 0
+    with pytest.raises(ValueError, match="not a valid Side"):
+        book.submit(limit(5, "up", 1015, 2))
+
+
 # ----------------------------------------------------------------------
 # market orders
 # ----------------------------------------------------------------------
@@ -110,6 +132,14 @@ def test_market_exact_fill():
     assert unfilled == 0
     assert fills == [(1004, 5, 1)]
     assert book.best_ask() is None
+
+
+def test_string_side_submit_market_is_read_as_its_side():
+    book = _asks_1010_1020()
+    fills, unfilled = book.submit_market("buy", 3)
+    assert fills == [(1010, 3, 1)] and unfilled == 0
+    with pytest.raises(ValueError, match="not a valid Side"):
+        book.submit_market("up", 3)
 
 
 def test_market_into_empty_side():
