@@ -60,6 +60,7 @@ __all__ = [
 MINUTES_PER_DAY = 390
 
 WORKERS_ENV_VAR = "LOBSIM_WORKERS"
+CSV_CHUNK = 4096  # lines per write: a long series is never one string
 
 KNOWN_OUTPUTS = frozenset(
     {"return_pdf", "kurtosis_point", "volatility_pdf", "impact_curves", "snapshots"}
@@ -455,9 +456,11 @@ def lifetime_sweep(
 
 def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    lines = (",".join(map(str, row)) for row in rows)
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        while chunk := list(islice(lines, CSV_CHUNK)):
+            f.write("\n".join(chunk) + "\n")
 
 
 def _write_run_csvs(runs_dir: Path, scenario: Scenario, output: SimOutput,

@@ -5,13 +5,13 @@ matching logic runs on integers so no floating point enters the book.
 Each occupied level holds a FIFO queue of resting orders, giving
 price-time priority: better price first, earlier order id within a
 level. Best-price lookup uses a lazy heap over occupied ticks, expiry a
-heap over (expires_step, order_id).
+lazy heap over (expires_step, order_id).
 
 Supports crossing limit orders (fills execute at the resting order's
-tick, remainder rests), market orders (unfilled remainder is discarded),
-end-of-step expiry and per-level depth snapshots (``Depth``). Each fill
-is a plain ``(tick, shares, resting_id)`` tuple; the aggressor is the
-order that was submitted.
+tick, remainder rests), expiry and per-level depth snapshots
+(``Depth``). Each fill is a plain ``(tick, shares, resting_id)`` tuple;
+the aggressor is the order that was submitted. A limit order at the far
+side's worst tick acts as a market order that rests what it cannot fill.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ __all__ = [
 class Side(Enum):
     BUY = "buy"
     SELL = "sell"
-
-    @property
-    def opposite(self) -> "Side":
-        return Side.SELL if self is Side.BUY else Side.BUY
 
 
 class OrderRejected(ValueError):
@@ -240,25 +236,14 @@ class OrderBook:
         heapq.heappush(self._expiry_heap, (order.expires_step, order.id))
         return fills, order.id
 
-    def submit_market(self, side: Side, shares: int) -> tuple[list, int]:
-        """Consume the opposite side best-first until filled or empty.
-
-        The unfilled remainder is discarded (a market order has no limit
-        to rest at). Returns the fills and the unfilled share count.
-        """
-        if shares < 1:
-            raise OrderRejected("market order shares must be >= 1")
-        return self._match(shares, self._asks if Side(side) is Side.BUY
-                           else self._bids, None)
-
     def _match(self, shares: int, book_side: _BookSide,
-               limit: int | None) -> tuple[list, int]:
+               limit: int) -> tuple[list, int]:
         """Fill ``shares`` against ``book_side`` best-first.
 
-        Levels are consumed while they cross ``limit`` (None: always,
-        for market orders). Level and side totals are updated once per
-        level; a fully consumed level's tick is the heap top, so it is
-        popped at once. Returns the fills and the shares left unfilled.
+        Levels are consumed while they cross ``limit``. Level and side
+        totals are updated once per level; a fully consumed level's tick
+        is the heap top, so it is popped at once. Returns the fills and
+        the shares left unfilled.
         """
         fills: list[tuple[int, int, int]] = []
         orders = self._orders
@@ -268,11 +253,11 @@ class OrderBook:
         sign = book_side.sign
         # a level crosses when sign * tick <= sign * limit: asks (sign +1)
         # at or below a buy limit, bids (sign -1) at or above a sell limit
-        bound = None if limit is None else sign * limit
+        bound = sign * limit
         remaining = shares
         while remaining > 0:
             best = book_side.best()
-            if best is None or (bound is not None and sign * best > bound):
+            if best is None or sign * best > bound:
                 break
             queue = levels[best]
             level_fill = 0
@@ -303,12 +288,18 @@ class OrderBook:
     # expiry
     # ------------------------------------------------------------------
 
-    def expire(self, step: int) -> list[int]:
-        """Remove every resting order with expires_step <= step.
+    def next_expiry(self) -> int | None:
+        """The earliest ``expires_step`` of a resting order, None on an
+        empty book: ``expire`` at an earlier step removes nothing."""
+        heap, orders = self._expiry_heap, self._orders
+        while heap and heap[0][1] not in orders:
+            heapq.heappop(heap)  # its order was filled
+        return heap[0][0] if heap else None
 
-        Called once at the end of each simulation step, strictly after
-        the step's submissions. Returns removed order ids.
-        """
+    def expire(self, step: int) -> list[int]:
+        """Remove every resting order with expires_step <= step and return
+        their ids. The run calls it after a step's submissions, on the steps
+        where ``next_expiry()`` is due (at or before the step)."""
         removed: list[int] = []
         heap = self._expiry_heap
         orders = self._orders

@@ -4,6 +4,8 @@ Each step: traders scheduled for the step are shuffled (preventing
 serial correlations from a fixed activation order), each submits one
 limit order, then expired orders are removed and the step's last trade
 price, resting volume and (optionally) a depth snapshot are recorded.
+Only steps with an activation, a due expiry (``OrderBook.next_expiry``)
+or a snapshot do this work; the others repeat the record before them.
 A run is fully determined by its config, including the seed.
 
 Also provides trade-frequency calibration: rescale the waiting-time
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 
@@ -149,13 +152,18 @@ def run(config: SimConfig) -> SimOutput:
         schedule.setdefault(max(1, math.ceil(mean_wait * e)), []).append(trader_id)
     rows = iter(())
 
-    tape: list[tuple[int, int, int, bool]] = []  # TAPE_DTYPE rows
-    price_series = np.empty(horizon, dtype=np.float64)
-    volume_series = np.empty(horizon, dtype=np.int64)
+    # Each step that does work marks (step, last price, resting shares);
+    # the steps between two marks repeat the first (np.repeat over gaps).
+    tape = array("q")  # TAPE_DTYPE rows, one field after another
+    mark_steps = array("q", [1])  # before the first mark: the empty book
+    mark_prices = array("d", [config.start_price])
+    mark_volumes = array("q", [0])
     snapshots: list[Depth] = []
     last_price = config.start_price
     next_order_id = 0  # also the count of orders submitted
     n_expired = 0
+    due = never = horizon + 1  # due: the book's next expiry step
+    snap_at = (warmup // snap_every + 1) * snap_every if snap_every else never
 
     for step in range(1, horizon + 1):
         active = schedule.pop(step, None)
@@ -175,23 +183,34 @@ def run(config: SimConfig) -> SimOutput:
                                              step, step + lifetime))
                 if fills:
                     buy = side is Side.BUY
-                    tape += [(step, tick, n, buy) for tick, n, _ in fills]
+                    for tick, n, _ in fills:
+                        tape.extend((step, tick, n, buy))
                     last_price = fills[-1][0] * tick_size
                 schedule.setdefault(step + wait, []).append(trader_id)
-        n_expired += len(book.expire(step))
-        price_series[step - 1] = last_price
-        volume_series[step - 1] = book.resting_shares()
-        if snap_every and step > warmup and step % snap_every == 0:
+        elif step < due and step < snap_at:
+            continue
+        if due <= step:
+            n_expired += len(book.expire(step))
+        due = book.next_expiry() or never  # expiry steps are >= 1
+        mark_steps.append(step)
+        mark_prices.append(last_price)
+        mark_volumes.append(book.resting_shares())
+        if step == snap_at:
             snapshots.append(book.snapshot(step))
+            snap_at += snap_every
 
-    trade_tape = np.array(tape, dtype=TAPE_DTYPE)
+    gaps = np.diff(np.frombuffer(mark_steps, dtype=np.int64), append=never)
+    trade_tape = np.empty(len(tape) // 4, dtype=TAPE_DTYPE)
+    for name, column in zip(TAPE_DTYPE.names, np.reshape(tape, (-1, 4)).T):
+        trade_tape[name] = column
     post_trades = int(np.count_nonzero(trade_tape["step"] > warmup))
     minutes = (horizon - warmup) / config.steps_per_minute
     return SimOutput(
         config=config,
         trade_tape=trade_tape,
-        price_series=price_series,
-        resting_volume_series=volume_series,
+        price_series=np.repeat(np.frombuffer(mark_prices), gaps),
+        resting_volume_series=np.repeat(
+            np.frombuffer(mark_volumes, dtype=np.int64), gaps),
         depth=Depth.concat(snapshots, tick_size),
         trades_per_minute=post_trades / minutes,
         n_submitted=next_order_id,

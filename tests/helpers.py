@@ -56,6 +56,29 @@ def build_random_book(
     return book
 
 
+def rebuild_book(snap: Depth) -> OrderBook:
+    """A book holding one order per level of the one-row record ``snap``."""
+    book = OrderBook(snap.tick_size)
+    levels = [(Side.BUY, t, n) for t, n in zip(snap.bid_ticks.tolist(),
+                                               snap.bid_shares.tolist())]
+    levels += [(Side.SELL, t, n) for t, n in zip(snap.ask_ticks.tolist(),
+                                                 snap.ask_shares.tolist())]
+    for oid, (side, tick, shares) in enumerate(levels, start=1):
+        book.submit(Order(oid, side, tick, shares, 0, 10**9))
+    return book
+
+
+def sweep(book: OrderBook, side: Side, shares: int):
+    """Submit a ``side`` order (id 10**9) limited at the far side's worst
+    tick: it fills like a market order and rests what it cannot fill.
+    Returns the fills and the rested id (None when filled), as ``submit``."""
+    snap = book.snapshot(step=0)
+    far = snap.ask_ticks if side is Side.BUY else snap.bid_ticks
+    if far.size == 0:
+        return [], None
+    return book.submit(Order(10**9, side, int(far[-1]), shares, 0, 10**9))
+
+
 def pooled(snapshots, tick_size: float = 0.1) -> Depth:
     """One record holding the rows of ``snapshots``, in order."""
     return Depth.concat(snapshots, tick_size)

@@ -39,13 +39,6 @@ class ReferenceMatcher:
                 return trades, order_id
         return trades, None
 
-    def submit_market(self, order_id, side, shares, step):
-        trades = []
-        book = self.asks if side == "buy" else self.bids
-        while shares > 0 and book:
-            shares = self._fill(trades, book, order_id, side, shares, step)
-        return trades, shares
-
     @staticmethod
     def _fill(trades, book, order_id, side, shares, step):
         resting = book[0]

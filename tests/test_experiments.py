@@ -217,6 +217,18 @@ def test_trade_tape_csv_is_the_tape(tmp_path):
     assert {r[3] for r in rows} == {"buy", "sell"}
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, experiments.CSV_CHUNK,
+                                    2 * experiments.CSV_CHUNK + 3])
+def test_chunked_csv_is_the_joined_text(tmp_path, n_rows):
+    header = ("step", "price", "side")
+    rows = [(i, i / 7, "buy") for i in range(n_rows)]
+    path = tmp_path / "nested" / "rows.csv"
+    experiments._write_csv(path, header, iter(rows))
+    joined = "\n".join([",".join(header)]
+                       + [",".join(map(str, row)) for row in rows]) + "\n"
+    assert path.read_bytes() == joined.encode()
+
+
 def test_impact_outputs_quantile_path():
     scen = replace(
         tiny_scenario(),

@@ -12,7 +12,7 @@ from lobsim.impact import (
 )
 from lobsim.orderbook import Order, OrderBook, Side
 
-from .helpers import build_random_book, pooled
+from .helpers import build_random_book, pooled, rebuild_book, sweep
 
 
 def _snapshots(rng, n, **book_kwargs):
@@ -137,22 +137,10 @@ def test_zero_row_depth_walks_to_nothing(saturate):
         assert shifts.size == 0 and n_censored == 0
 
 
-def _rebuild(snap) -> OrderBook:
-    book = OrderBook(snap.tick_size)
-    oid = 0
-    for tick, shares in zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()):
-        oid += 1
-        book.submit(Order(oid, Side.BUY, tick, shares, 0, 10**9))
-    for tick, shares in zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()):
-        oid += 1
-        book.submit(Order(oid, Side.SELL, tick, shares, 0, 10**9))
-    return book
-
-
 @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
 @pytest.mark.parametrize("censored", ["exclude", "saturate"])
 def test_curves_match_destructive_execution(rng, side, censored):
-    """Each pooled shift equals a market order run on a copied book.
+    """Each pooled shift equals a sweep of the far side of a copied book.
 
     The second snapshot list holds books of 0-40 orders, so some sides
     are empty: the first snapshot's and some in the middle. Besides the
@@ -179,10 +167,10 @@ def test_curves_match_destructive_execution(rng, side, censored):
             for snap, depth in zip(snaps, depths):
                 if depth == 0 or (censored == "exclude" and depth < v):
                     continue
-                book = _rebuild(snap)
+                book = rebuild_book(snap)
                 pre_best = (book.best_ask() if side is Side.BUY
                             else book.best_bid())
-                fills, _ = book.submit_market(side, v)
+                fills, _ = sweep(book, side, v)
                 realized.append(abs(fills[-1][0] - pre_best) * snap.tick_size)
             np.testing.assert_allclose(curve.samples, np.array(realized))
             assert curve.censored_count == sum(d < v for d in depths)

@@ -18,7 +18,8 @@ from lobsim.orderbook import (
     tick_to_price,
 )
 
-from .helpers import build_random_book, depth_rows, make_stream
+from .helpers import (build_random_book, depth_rows, make_stream,
+                      rebuild_book, sweep)
 from .reference_matcher import ReferenceMatcher
 
 
@@ -121,48 +122,25 @@ def test_string_side_submit_is_read_as_its_side():
 
 
 # ----------------------------------------------------------------------
-# market orders
+# sweeps: a limit order at the far side's worst tick
 # ----------------------------------------------------------------------
 
 
 def test_market_exact_fill():
     book = OrderBook()
     book.submit(limit(1, Side.SELL, 1004, 5))
-    fills, unfilled = book.submit_market(Side.BUY, 5)
-    assert unfilled == 0
+    fills, rested = sweep(book, Side.BUY, 5)
+    assert rested is None
     assert fills == [(1004, 5, 1)]
-    assert book.best_ask() is None
-
-
-def test_string_side_submit_market_is_read_as_its_side():
-    book = _asks_1010_1020()
-    fills, unfilled = book.submit_market("buy", 3)
-    assert fills == [(1010, 3, 1)] and unfilled == 0
-    with pytest.raises(ValueError, match="not a valid Side"):
-        book.submit_market("up", 3)
-
-
-def test_market_into_empty_side():
-    book = OrderBook()
-    fills, unfilled = book.submit_market(Side.BUY, 7)
-    assert fills == [] and unfilled == 7
-
-
-def test_market_remainder_discarded():
-    book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1004, 3))
-    _, unfilled = book.submit_market(Side.BUY, 10)
-    assert unfilled == 7
-    assert book.best_ask() is None
-    assert book.best_bid() is None  # nothing rested
+    assert book.best_ask() is None and book.best_bid() is None
 
 
 def test_market_spanning_levels_matches_cumulative_supply(rng):
     book = build_random_book(rng, n_orders=60)
     snap = book.snapshot(step=0)
     v = int(snap.ask_shares[:3].sum())  # exactly three levels deep
-    fills, unfilled = book.submit_market(Side.BUY, v)
-    assert unfilled == 0
+    fills, rested = sweep(book, Side.BUY, v)
+    assert rested is None
     ticks = [tick for tick, _, _ in fills]
     assert ticks == sorted(ticks)
     assert set(ticks) == set(snap.ask_ticks[:3].tolist())
@@ -274,21 +252,9 @@ def test_impact_empty_side_absent():
     assert impact_shift(book, Side.SELL, 1, saturate=True) is None
 
 
-def _rebuild_book_from_snapshot(snap) -> OrderBook:
-    book = OrderBook(snap.tick_size)
-    oid = 0
-    for tick, shares in zip(snap.bid_ticks.tolist(), snap.bid_shares.tolist()):
-        oid += 1
-        book.submit(Order(oid, Side.BUY, tick, shares, 0, 10**9))
-    for tick, shares in zip(snap.ask_ticks.tolist(), snap.ask_shares.tolist()):
-        oid += 1
-        book.submit(Order(oid, Side.SELL, tick, shares, 0, 10**9))
-    return book
-
-
 @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
 def test_impact_matches_destructive_execution(rng, side):
-    """Virtual shift equals a market order's last fill tick minus pre-trade best."""
+    """Virtual shift equals a sweep's last fill tick minus pre-trade best."""
     for trial in range(25):
         book = build_random_book(rng, n_orders=50)
         snap = book.snapshot(step=0)
@@ -298,8 +264,7 @@ def test_impact_matches_destructive_execution(rng, side):
         pre_best = book.best_ask() if side is Side.BUY else book.best_bid()
         for v in (1, max(1, total // 3), total, total + 5):
             virtual = impact_shift(book, side, v, saturate=True)
-            scratch = _rebuild_book_from_snapshot(snap)
-            fills, _ = scratch.submit_market(side, v)
+            fills, _ = sweep(rebuild_book(snap), side, v)
             realized = abs(fills[-1][0] - pre_best) * book.tick_size
             assert virtual == pytest.approx(realized)
             if v <= total:
@@ -495,6 +460,46 @@ def test_stream_invariants(stream):
         book.expire(step)
         check_book_invariants(book, expired_through=step)
     assert book.resting_orders() == 0
+
+
+def test_next_expiry_skips_filled_orders():
+    book = OrderBook()
+    assert book.next_expiry() is None
+    book.submit(limit(1, Side.SELL, 1004, 5, expires=3))
+    book.submit(limit(2, Side.SELL, 1006, 5, expires=9))
+    assert book.next_expiry() == 3
+    book.submit(limit(3, Side.BUY, 1004, 5, expires=4))  # fills order 1
+    assert book.next_expiry() == 9
+    book.submit(limit(4, Side.BUY, 1006, 5, expires=5))  # fills order 2
+    assert book.resting_orders() == 0 and book.next_expiry() is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_streams(), st.data())
+def test_next_expiry_contract(stream, data):
+    """next_expiry is None on an empty book, else the earliest expiry of
+    a resting order, and expire at any earlier step removes nothing,
+    also after fills that left their orders' heap entries behind."""
+
+    def check():
+        live = [o.expires_step for o in book._orders.values()]
+        nxt = book.next_expiry()
+        assert nxt == (min(live) if live else None)
+        if nxt is not None:
+            early = data.draw(st.integers(min_value=0, max_value=nxt - 1))
+            assert book.expire(early) == []
+            assert book.next_expiry() == nxt
+
+    book = OrderBook()
+    check()
+    step_now = 1
+    for step, oid, side, tick, shares, expires in stream:
+        while step_now < step:
+            book.expire(step_now)
+            check()
+            step_now += 1
+        book.submit(Order(oid, side, tick, shares, step, expires))
+        check()
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,38 @@ def test_output_unchanged_across_draw_block_refills(monkeypatch):
     # a block size is part of the stream: a smaller one lays the same
     # draws out over other activations
     assert fingerprint(small) != fingerprint(a)
+
+
+def test_series_match_tape_and_depth_at_every_step():
+    """Idle steps repeat the last mark: the series of a run without
+    snapshots equal, step by step, the tape's last fill carried forward
+    and the share totals of a snapshot taken at every step."""
+    sparse = SimConfig(trader_specs=(TraderSpec(count=3, mu_lifetime=60.0),),
+                       c=40.0, horizon_T=4000, warmup=0, seed=5)
+    out = run(sparse)
+    dense = run(replace(sparse, snapshot_interval=1))
+    assert np.array_equal(dense.trade_tape, out.trade_tape)
+    # idle gaps before the first order, between events and after the last
+    assert out.resting_volume_series[0] == 0
+    assert out.n_submitted + out.n_expired < sparse.horizon_T // 10
+    assert out.resting_volume_series[-2] == out.resting_volume_series[-1]
+
+    steps = np.arange(1, sparse.horizon_T + 1)
+    tape = out.trade_tape
+    last = np.searchsorted(tape["step"], steps, side="right") - 1
+    carried = np.where(last >= 0, tape["tick"][last] * sparse.tick_size,
+                       sparse.start_price)
+    assert np.array_equal(out.price_series, carried)
+
+    depth = dense.depth
+    assert np.array_equal(depth.steps, steps)
+    rows = np.arange(len(depth))
+    totals = sum(np.bincount(np.repeat(rows, counts), shares,
+                             minlength=rows.size)
+                 for counts, shares in ((depth.bid_counts, depth.bid_shares),
+                                        (depth.ask_counts, depth.ask_shares)))
+    assert np.array_equal(out.resting_volume_series, totals)
+    assert np.array_equal(dense.resting_volume_series, totals)
 
 
 def test_different_seeds_differ():
