@@ -33,8 +33,7 @@ import numpy as np
 
 from . import stats
 from .agents import TraderKind, TraderSpec, cast_fields
-from .impact import (ImpactCurve, impact_distribution, quantile_volumes,
-                     walk_depth)
+from .impact import ImpactCurve, impact_distribution, quantile_volumes
 from .orderbook import Depth, Side
 from .simulator import (PROBE_HORIZON, PROBE_SEEDS, SimConfig, SimOutput,
                         calibrate_c, calibration_probe, derive_seed, fan_out,
@@ -205,18 +204,8 @@ def _run_seed(payload: tuple[Scenario, int, str | None]) -> RunArtifacts:
         art.volatilities = stats.moving_volatility(rs, scenario.vol_window)
     if "impact_curves" in scenario.outputs:
         if scenario.impact_volumes:
-            # a seed whose book never holds v only adds censored snapshots;
-            # _pool_impact raises when every seed's book falls short
-            saturate = scenario.impact_censored == "saturate"
-            art.impact_curves = {}
-            for v in scenario.impact_volumes:
-                shifts, n_censored = walk_depth(
-                    depth, scenario.impact_side, v, saturate
-                )
-                art.impact_curves[v] = ImpactCurve(
-                    volume=v, side=scenario.impact_side, samples=shifts,
-                    censored_count=n_censored, n_snapshots=len(depth),
-                )
+            art.impact_curves = _impact_curves(scenario, depth,
+                                               scenario.impact_volumes)
         else:
             # quantile volumes are pooled: hand the depth back instead
             art.depth = depth
@@ -326,33 +315,34 @@ def run_scenario(
     return result
 
 
+def _impact_curves(scenario: Scenario, depth: Depth,
+                   volumes) -> dict[int, ImpactCurve]:
+    return {v: impact_distribution(depth, scenario.impact_side, v,
+                                   censored=scenario.impact_censored)
+            for v in volumes}
+
+
 def _pool_impact(scenario: Scenario, runs: list[RunArtifacts],
                  result: ScenarioResult) -> None:
     volumes = scenario.impact_volumes
     if volumes:
-        for v in volumes:
-            curves = [r.impact_curves[v] for r in runs]
-            samples = np.concatenate([c.samples for c in curves])
-            if not samples.size:
-                raise ValueError(
-                    f"volume {v} exceeds book depth in every snapshot"
-                )
-            result.impact_curves[v] = ImpactCurve(
-                volume=v, side=scenario.impact_side, samples=samples,
-                censored_count=sum(c.censored_count for c in curves),
-                n_snapshots=sum(c.n_snapshots for c in curves),
-            )
-        return
-    # volumes not pinned: derive them from the pooled trade tape
-    tape_shares = np.concatenate([r.tape_shares for r in runs])
-    volumes = quantile_volumes(tape_shares, scenario.impact_quantiles)
-    volumes = tuple(dict.fromkeys(volumes))  # dedupe, keep order
-    depth = Depth.concat((r.depth for r in runs), scenario.config.tick_size)
+        per_seed = [r.impact_curves for r in runs]
+    else:
+        # volumes not pinned: derive them from the pooled trade tape,
+        # then walk each seed's own depth
+        tape_shares = np.concatenate([r.tape_shares for r in runs])
+        volumes = quantile_volumes(tape_shares, scenario.impact_quantiles)
+        volumes = tuple(dict.fromkeys(volumes))  # dedupe, keep order
+        per_seed = [_impact_curves(scenario, r.depth, volumes) for r in runs]
+        result.quantile_volumes_used = volumes
+    # a seed whose book never holds v only adds censored snapshots
     for v in volumes:
-        result.impact_curves[v] = impact_distribution(
-            depth, scenario.impact_side, v, censored=scenario.impact_censored
-        )
-    result.quantile_volumes_used = volumes
+        curve = ImpactCurve.pool(curves[v] for curves in per_seed)
+        if not curve.samples.size:
+            raise ValueError(
+                f"volume {v} exceeds book depth in every snapshot"
+            )
+        result.impact_curves[v] = curve
 
 
 # ----------------------------------------------------------------------

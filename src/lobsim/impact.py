@@ -17,6 +17,7 @@ show nothing about gaps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .stats import estimate_ccdf
 
 __all__ = [
     "ImpactCurve",
-    "walk_depth",
     "quantile_volumes",
     "impact_distribution",
     "curve_distance",
@@ -47,51 +47,18 @@ class ImpactCurve:
     def ccdf(self) -> tuple[np.ndarray, np.ndarray]:
         return estimate_ccdf(self.samples)
 
-
-def walk_depth(
-    depth: Depth,
-    side: Side,
-    volume: int,
-    saturate: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Virtual price shifts of a ``side`` market order of ``volume``.
-
-    Walks cumulative depth away from the best price on the opposite
-    side of the order's flow: a buy consumes asks, a sell consumes
-    bids. ``side`` is a ``Side`` or its value ("buy" or "sell"). The
-    shift is the distance, in price units, from the best level to the
-    level holding the ``volume``-th share. When a side holds less than
-    ``volume`` in total the row is censored: it yields no shift by
-    default, or the full-depth walk (shift to the deepest occupied
-    level, where an actual market order's last fill would land) with
-    ``saturate=True``. Empty sides are censored and never yield a shift.
-
-    Returns the shifts in row order and the censored count. All rows
-    are walked at once under one cumulative sum of the side's shares
-    column: row i's walk is one search for ``base_i + volume``, where
-    ``base_i`` counts the shares before the row.
-    """
-    if volume < 1:
-        raise ValueError("volume must be >= 1")
-    if Side(side) is Side.BUY:
-        sizes, ticks, shares = depth.ask_counts, depth.ask_ticks, depth.ask_shares
-    else:
-        sizes, ticks, shares = depth.bid_counts, depth.bid_ticks, depth.bid_shares
-    ends = np.cumsum(sizes)
-    starts = ends - sizes  # row i occupies positions [starts[i], ends[i])
-    # cum[k]: shares at positions before k; the share a walk needs lies
-    # at the position before the first k with cum[k] >= base_i + volume
-    cum = np.zeros(shares.size + 1, dtype=np.int64)
-    np.cumsum(shares, out=cum[1:])
-    last = np.searchsorted(cum, cum[starts] + volume, side="left") - 1
-    filled = last < ends
-    if saturate:
-        keep = sizes > 0
-        last = np.minimum(last, ends - 1)
-    else:
-        keep = filled
-    shifts = np.abs(ticks[last[keep]] - ticks[starts[keep]]) * depth.tick_size
-    return shifts, len(depth) - int(np.count_nonzero(filled))
+    @classmethod
+    def pool(cls, curves) -> "ImpactCurve":
+        """One curve from curves of one volume and side over disjoint
+        depth: samples in the given order, counts summed."""
+        curves = list(curves)
+        return cls(
+            volume=curves[0].volume,
+            side=curves[0].side,
+            samples=np.concatenate([c.samples for c in curves]),
+            censored_count=sum(c.censored_count for c in curves),
+            n_snapshots=sum(c.n_snapshots for c in curves),
+        )
 
 
 def quantile_volumes(shares, quantiles) -> list[int]:
@@ -111,30 +78,55 @@ def impact_distribution(
     volume: int,
     censored: str = "exclude",
 ) -> ImpactCurve:
-    """Pool virtual price shifts of a fixed volume over recorded depth.
+    """Virtual price shifts of a ``side`` market order of ``volume``.
 
-    Rows (snapshots) whose side depth is below the volume are censored.
-    With censored="exclude" they are dropped from the distribution (and
-    counted); with censored="saturate" they contribute the full-depth
-    walk, matching what a real market order of that size would realize.
-    Empty-side rows are always excluded.
+    Walks cumulative depth away from the best price on the opposite
+    side of the order's flow: a buy consumes asks, a sell consumes
+    bids. ``side`` is a ``Side`` or its value ("buy" or "sell"). The
+    shift is the distance, in price units, from the best level to the
+    level holding the ``volume``-th share; samples are in row order.
+    Rows (snapshots) whose side holds less than ``volume`` in total are
+    censored and counted. With censored="exclude" they yield no shift;
+    with censored="saturate" they yield the full-depth walk (shift to
+    the deepest occupied level, where an actual market order's last
+    fill would land). Empty sides never yield a shift, so a depth with
+    no rows, or with every row censored, gives an empty curve.
+
+    All rows are walked at once under one cumulative sum of the side's
+    shares column: row i's walk is one search for ``base_i + volume``,
+    where ``base_i`` counts the shares before the row.
     """
-    if not len(depth):
-        raise ValueError("no snapshots")
+    try:
+        volume = operator.index(volume)
+    except TypeError:
+        raise ValueError(f"volume = {volume!r} is not a valid int") from None
+    if volume < 1:
+        raise ValueError("volume must be >= 1")
     if censored not in ("exclude", "saturate"):
         raise ValueError("censored must be 'exclude' or 'saturate'")
-    shifts, n_censored = walk_depth(
-        depth, side, volume, saturate=censored == "saturate"
-    )
-    if not shifts.size:
-        raise ValueError(
-            f"volume {volume} exceeds book depth in every snapshot"
-        )
+    side = Side(side)
+    if side is Side.BUY:
+        sizes, ticks, shares = depth.ask_counts, depth.ask_ticks, depth.ask_shares
+    else:
+        sizes, ticks, shares = depth.bid_counts, depth.bid_ticks, depth.bid_shares
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # row i occupies positions [starts[i], ends[i])
+    # cum[k]: shares at positions before k; the share a walk needs lies
+    # at the position before the first k with cum[k] >= base_i + volume
+    cum = np.zeros(shares.size + 1, dtype=np.int64)
+    np.cumsum(shares, out=cum[1:])
+    last = np.searchsorted(cum, cum[starts] + volume, side="left") - 1
+    filled = last < ends
+    if censored == "saturate":
+        keep = sizes > 0
+        last = np.minimum(last, ends - 1)
+    else:
+        keep = filled
     return ImpactCurve(
         volume=volume,
-        side=Side(side),
-        samples=shifts,
-        censored_count=n_censored,
+        side=side,
+        samples=np.abs(ticks[last[keep]] - ticks[starts[keep]]) * depth.tick_size,
+        censored_count=len(depth) - int(np.count_nonzero(filled)),
         n_snapshots=len(depth),
     )
 
@@ -143,8 +135,11 @@ def curve_distance(a: ImpactCurve, b: ImpactCurve) -> float:
     """Sup-norm distance between two impact CCDFs.
 
     Evaluates both empirical CCDFs, P(shift > x), over the union of
-    their supports and returns the largest absolute difference.
+    their supports and returns the largest absolute difference. A curve
+    without samples has no CCDF, so it raises.
     """
+    if not (a.samples.size and b.samples.size):
+        raise ValueError("cannot compare a curve that has no samples")
     xa = np.sort(a.samples)
     xb = np.sort(b.samples)
     grid = np.union1d(xa, xb)

@@ -24,8 +24,7 @@ from lobsim.experiments import (
     lifetime_sweep,
     run_scenario,
 )
-from lobsim.impact import (curve_distance, impact_distribution,
-                           quantile_volumes, walk_depth)
+from lobsim.impact import curve_distance, impact_distribution, quantile_volumes
 from lobsim.orderbook import Depth, Order, OrderBook, Side
 from lobsim.simulator import SimConfig, calibrate_c, derive_seed, run
 
@@ -418,7 +417,7 @@ def test_criterion_8_statistical_kernels():
             break
         best = int(snap.ask_ticks[0])
         for v in (1, max(1, total // 2), total):
-            shifts, _ = walk_depth(snap, Side.BUY, v)
+            shifts = impact_distribution(snap, Side.BUY, v).samples
             level = best + int(round(float(shifts[0]) / book.tick_size))
             if _ask_supply(snap, level) < v:  # inverse consistency, upper
                 depth_ok = False

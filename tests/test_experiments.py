@@ -18,7 +18,8 @@ from lobsim.experiments import (
     with_lifetime,
     write_config,
 )
-from lobsim.orderbook import Side
+from lobsim.impact import impact_distribution
+from lobsim.orderbook import Depth, Side
 from lobsim import experiments, simulator
 from lobsim.simulator import SimConfig, derive_seed, run
 
@@ -184,6 +185,48 @@ def test_pinned_volume_deeper_than_one_seeds_book():
     # censored in every snapshot of every seed: still an error
     with pytest.raises(ValueError, match="every snapshot"):
         run_scenario(replace(scen, impact_volumes=(10**6,)), workers=1)
+
+
+def test_pinned_walks_reach_the_experiments_hook(monkeypatch):
+    """Pinned volumes are walked through ``experiments.impact_distribution``,
+    the name the benchmark tracer wraps, like quantile volumes are."""
+    walked = {"rows": 0, "calls": 0, "censored": 0}
+    inner = experiments.impact_distribution
+
+    def counting(depth, *args, **kwargs):
+        curve = inner(depth, *args, **kwargs)
+        walked["calls"] += 1
+        walked["rows"] += len(depth)
+        walked["censored"] += curve.censored_count
+        return curve
+
+    monkeypatch.setattr(experiments, "impact_distribution", counting)
+    scen = replace(tiny_scenario(), outputs=frozenset({"impact_curves"}),
+                   impact_volumes=(10, 160))
+    res = run_scenario(scen, workers=1)
+    n_snapshots = sum(r.n_snapshots for r in res.runs)
+    assert n_snapshots > 0
+    assert walked["calls"] == 2 * len(res.runs)
+    assert walked["rows"] == 2 * n_snapshots
+    assert walked["censored"] == sum(
+        c.censored_count for c in res.impact_curves.values())
+
+
+@pytest.mark.parametrize("censored", ["exclude", "saturate"])
+def test_quantile_curves_are_one_walk_over_joined_depth(censored):
+    """Walking each seed's depth and pooling equals walking them joined."""
+    scen = replace(tiny_scenario(), outputs=frozenset({"impact_curves"}),
+                   impact_quantiles=(0.5, 0.9, 0.99), impact_censored=censored)
+    res = run_scenario(scen, workers=1)
+    joined = Depth.concat([r.depth for r in res.runs], scen.config.tick_size)
+    assert len(res.runs) == 2 and len(joined) > 0
+    for v in res.quantile_volumes_used:
+        one_walk = impact_distribution(joined, scen.impact_side, v,
+                                       censored=censored)
+        curve = res.impact_curves[v]
+        assert np.array_equal(curve.samples, one_walk.samples)
+        assert curve.censored_count == one_walk.censored_count
+        assert curve.n_snapshots == one_walk.n_snapshots == len(joined)
 
 
 def test_string_impact_side_walks_the_same_side():

@@ -8,7 +8,6 @@ from lobsim.impact import (
     curve_distance,
     impact_distribution,
     quantile_volumes,
-    walk_depth,
 )
 from lobsim.orderbook import Order, OrderBook, Side
 
@@ -65,11 +64,11 @@ def test_string_side_walks_its_side():
     book.submit(Order(2, Side.SELL, 1020, 5, 0, 10**9))
     snap = book.snapshot(0)
     for side in ("buy", Side.BUY):
-        shifts, censored = walk_depth(snap, side, 7)
-        assert shifts.tolist() == pytest.approx([1.0]) and censored == 0
-    assert impact_distribution(snap, "buy", 7).side is Side.BUY
+        curve = impact_distribution(snap, side, 7)
+        assert curve.samples.tolist() == pytest.approx([1.0])
+        assert curve.censored_count == 0 and curve.side is Side.BUY
     with pytest.raises(ValueError, match="not a valid Side"):
-        walk_depth(snap, "up", 7)
+        impact_distribution(snap, "up", 7)
 
 
 def test_unit_volume_concentrates_at_zero(rng):
@@ -102,10 +101,11 @@ def test_censored_counted_and_excluded(rng):
     assert curve.n_snapshots == len(snaps)
 
 
-def test_all_censored_raises(rng):
+def test_all_censored_gives_empty_curve(rng):
     snaps = _snapshots(rng, 10, n_orders=10)
-    with pytest.raises(ValueError, match="every snapshot"):
-        impact_distribution(pooled(snaps), Side.BUY, 10**9)
+    curve = impact_distribution(pooled(snaps), Side.BUY, 10**9)
+    assert curve.samples.size == 0
+    assert curve.censored_count == curve.n_snapshots == len(snaps)
 
 
 def test_saturate_keeps_every_snapshot(rng):
@@ -124,17 +124,21 @@ def test_impact_mode_validation(rng):
     snaps = pooled(_snapshots(rng, 3))
     with pytest.raises(ValueError):
         impact_distribution(snaps, Side.BUY, 1, censored="impute")
-    with pytest.raises(ValueError, match="no snapshots"):
-        impact_distribution(pooled([]), Side.BUY, 1)
     with pytest.raises(ValueError):
         impact_distribution(snaps, Side.BUY, 0)
+    with pytest.raises(ValueError, match="volume = 5.5 is not a valid int"):
+        impact_distribution(snaps, Side.BUY, 5.5)
+    curve = impact_distribution(snaps, Side.BUY, np.int64(3))
+    assert curve.volume == 3 and type(curve.volume) is int
 
 
 @pytest.mark.parametrize("saturate", [False, True])
 def test_zero_row_depth_walks_to_nothing(saturate):
+    censored = "saturate" if saturate else "exclude"
     for side in Side:
-        shifts, n_censored = walk_depth(pooled([]), side, 5, saturate)
-        assert shifts.size == 0 and n_censored == 0
+        curve = impact_distribution(pooled([]), side, 5, censored=censored)
+        assert curve.samples.size == 0
+        assert curve.censored_count == curve.n_snapshots == 0
 
 
 @pytest.mark.parametrize("side", [Side.BUY, Side.SELL])
@@ -196,6 +200,13 @@ def test_distance_to_self_is_zero(rng):
 
 def test_distance_degenerate_disjoint_steps():
     assert curve_distance(_curve([0.0] * 10), _curve([1.0] * 10)) == 1.0
+
+
+def test_distance_needs_samples_on_both_curves():
+    empty = _curve([])
+    for a, b in ((empty, _curve([1.0])), (_curve([1.0]), empty), (empty, empty)):
+        with pytest.raises(ValueError, match="no samples"):
+            curve_distance(a, b)
 
 
 def test_distance_symmetry(rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobsim.impact import walk_depth
+from lobsim.impact import impact_distribution
 from lobsim.orderbook import (
     Depth,
     Order,
@@ -226,7 +226,9 @@ def test_best_ask_advances_after_level_cleared():
 
 def impact_shift(book, side, volume, saturate=False):
     """The book's virtual shift, or None when the walk is censored."""
-    shifts, _ = walk_depth(book.snapshot(0), side, volume, saturate)
+    shifts = impact_distribution(
+        book.snapshot(0), side, volume,
+        censored="saturate" if saturate else "exclude").samples
     return float(shifts[0]) if shifts.size else None
 
 
