@@ -6,8 +6,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .experiments import (
     Scenario,
     _parse_list,
@@ -95,9 +93,9 @@ def _cmd_impact(args) -> int:
         print(f"quantile volumes: {list(result.quantile_volumes_used)}")
     for v in sorted(result.impact_curves):
         curve = result.impact_curves[v]
-        print(f"v={v}: {curve.samples.size} shifts, "
+        print(f"v={v}: {curve.counts.sum()} shifts, "
               f"{curve.censored_count}/{curve.n_snapshots} censored, "
-              f"median shift {float(np.median(curve.samples)):.3f}")
+              f"median shift {curve.median:.3f}")
     return 0
 
 

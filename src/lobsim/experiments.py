@@ -28,7 +28,6 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field, fields, replace
 from enum import Enum
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +107,16 @@ class Scenario:
             raise ValueError(
                 f"impact_quantiles must lie in (0, 1), got {self.impact_quantiles}"
             )
+        if "volatility_pdf" in self.outputs:
+            # moving_volatility's window, against the returns of one run
+            cfg = self.config
+            window = self.vol_window // cfg.steps_per_minute
+            n_returns = (cfg.horizon_T - cfg.warmup) // cfg.steps_per_minute
+            if not 2 <= window <= n_returns:
+                raise ValueError(
+                    f"vol_window = {self.vol_window} covers {window} return "
+                    f"samples; volatility_pdf needs 2 to {n_returns}, the "
+                    f"returns of one run")
 
     def effective_config(self) -> SimConfig:
         """Config with snapshots exactly when an output reads depth: the
@@ -433,7 +442,8 @@ def lifetime_sweep(
     result = SweepResult(rows=rows)
     if out_dir is not None:
         _write_csv(Path(out_dir) / f"{base.name}_sweep.csv",
-                   [f.name for f in fields(SweepRow)], map(astuple, rows))
+                   [f.name for f in fields(SweepRow)],
+                   zip(*map(astuple, rows)))
     return result
 
 
@@ -442,13 +452,28 @@ def lifetime_sweep(
 # ----------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """Write equal-length columns as CSV: each cell is ``str`` of the
+    value's Python scalar (``.tolist()``), CSV_CHUNK lines per write."""
+    columns = [np.asarray(c) for c in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = (",".join(map(str, row)) for row in rows)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        while chunk := list(islice(lines, CSV_CHUNK)):
-            f.write("\n".join(chunk) + "\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            cells = [_cell_text(c[start:start + CSV_CHUNK]) for c in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cell_text(values: np.ndarray) -> list[str]:
+    """``str`` of each value, formatting each distinct value once. Floats
+    are keyed by their bits, so -0.0, 0.0 and each NaN keep their text."""
+    floats = values.dtype.kind == "f"
+    keys = values.view(f"i{values.itemsize}") if floats else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if floats:
+        distinct = distinct.view(values.dtype)
+    text = np.array([str(v) for v in distinct.tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def _write_run_csvs(runs_dir: Path, scenario: Scenario, output: SimOutput,
@@ -459,76 +484,73 @@ def _write_run_csvs(runs_dir: Path, scenario: Scenario, output: SimOutput,
     _write_csv(
         seed_dir / "trade_tape.csv",
         ("step", "price", "shares", "aggressor_side"),
-        zip(tape["step"].tolist(), (tape["tick"] * cfg.tick_size).tolist(),
-            tape["shares"].tolist(),
-            np.where(tape["buy"], Side.BUY.value, Side.SELL.value).tolist()),
+        (tape["step"], tape["tick"] * cfg.tick_size, tape["shares"],
+         np.where(tape["buy"], Side.BUY.value, Side.SELL.value)),
     )
     if art.volatilities is not None:
         _write_csv(
             seed_dir / "volatility_series.csv",
             ("window_index", "sigma"),
-            enumerate(art.volatilities.tolist()),
+            (np.arange(art.volatilities.size), art.volatilities),
         )
     _write_csv(
         seed_dir / "price_series.csv",
         ("step", "price", "resting_volume"),
-        zip(range(1, cfg.horizon_T + 1),
-            output.price_series.tolist(),
-            output.resting_volume_series.tolist()),
+        (np.arange(1, cfg.horizon_T + 1), output.price_series,
+         output.resting_volume_series),
     )
     if "snapshots" in scenario.outputs:
+        depth = output.depth
+        # each snapshot's bid levels, then its asks: all bids precede all
+        # asks, so a stable sort by row keeps that order within a row.
+        # Buy volume carries a negative sign (plot convention).
+        rows = np.arange(len(depth))
+        order = np.argsort(np.concatenate((np.repeat(rows, depth.bid_counts),
+                                           np.repeat(rows, depth.ask_counts))),
+                           kind="stable")
+        is_ask = order >= depth.bid_ticks.size
+        ticks = np.concatenate((depth.bid_ticks, depth.ask_ticks))[order]
         _write_csv(
             seed_dir / "snapshots.csv",
             ("step", "side", "tick", "price", "shares"),
-            _depth_rows(output.depth),
+            (np.repeat(depth.steps, depth.bid_counts + depth.ask_counts),
+             np.where(is_ask, Side.SELL.value, Side.BUY.value),
+             ticks, ticks * depth.tick_size,
+             np.concatenate((-depth.bid_shares, depth.ask_shares))[order]),
         )
-
-
-def _depth_rows(depth: Depth):
-    # each snapshot's bid levels, then its asks; buy volume carries a
-    # negative sign (plot convention)
-    tick = depth.tick_size
-    bids = zip(depth.bid_ticks.tolist(), depth.bid_shares.tolist())
-    asks = zip(depth.ask_ticks.tolist(), depth.ask_shares.tolist())
-    for step, n_bids, n_asks in zip(depth.steps.tolist(),
-                                    depth.bid_counts.tolist(),
-                                    depth.ask_counts.tolist()):
-        for t, s in islice(bids, n_bids):
-            yield step, "buy", t, t * tick, -s
-        for t, s in islice(asks, n_asks):
-            yield step, "sell", t, t * tick, s
 
 
 def _write_pooled_csvs(scenario_dir: Path, scenario: Scenario,
                        result: ScenarioResult) -> None:
     pooled = scenario_dir / "pooled"
     write_config(scenario, scenario_dir / "scenario.cfg")
-    _write_csv(
-        pooled / "summary.csv",
-        ("seed", "gamma2", "trades_per_minute", "avg_volume_per_day", "n_returns"),
-        [(r.seed, r.gamma2, r.trades_per_minute, r.avg_volume_per_day, r.n_returns)
-         for r in result.runs],
-    )
+    header = ("seed", "gamma2", "trades_per_minute", "avg_volume_per_day",
+              "n_returns")
+    # seeds stay Python ints, so one past 2**63 prints as given
+    _write_csv(pooled / "summary.csv", header,
+               [np.array([getattr(r, name) for r in result.runs],
+                         dtype=object if name == "seed" else None)
+                for name in header])
     if "kurtosis_point" in scenario.outputs:
         _write_csv(
             pooled / "kurtosis.csv",
             ("gamma2", "stderr", "n_returns", "n_seeds"),
-            [(result.gamma2, result.gamma2_stderr,
-              result.pooled_returns.size, len(result.runs))],
+            ([result.gamma2], [result.gamma2_stderr],
+             [result.pooled_returns.size], [len(result.runs)]),
         )
     if "return_pdf" in scenario.outputs:
         hist = stats.estimate_pdf(result.pooled_returns)
         _write_csv(
             pooled / "return_pdf.csv",
             ("bin_center", "density"),
-            zip(hist.centers.tolist(), hist.density.tolist()),
+            (hist.centers, hist.density),
         )
     if "volatility_pdf" in scenario.outputs and result.volatilities is not None:
         hist = stats.estimate_pdf(result.volatilities)
         _write_csv(
             pooled / "volatility_pdf.csv",
             ("bin_center", "density"),
-            zip(hist.centers.tolist(), hist.density.tolist()),
+            (hist.centers, hist.density),
         )
         positive = result.volatilities[result.volatilities > 0]
         if positive.size:
@@ -536,20 +558,15 @@ def _write_pooled_csvs(scenario_dir: Path, scenario: Scenario,
             _write_csv(
                 pooled / "volatility_lognormal.csv",
                 ("location", "scale", "n"),
-                [(loc, scale, positive.size)],
+                ([loc], [scale], [positive.size]),
             )
     for v in sorted(result.impact_curves):
         curve = result.impact_curves[v]
-        xs, probs = curve.ccdf
-        _write_csv(
-            pooled / f"impact_v{v}.csv",
-            ("delta_s", "ccdf"),
-            zip(xs.tolist(), probs.tolist()),
-        )
+        _write_csv(pooled / f"impact_v{v}.csv", ("delta_s", "ccdf"), curve.ccdf)
         _write_csv(
             pooled / f"impact_v{v}_censored.csv",
             ("volume", "censored_count", "n_snapshots"),
-            [(v, curve.censored_count, curve.n_snapshots)],
+            ([v], [curve.censored_count], [curve.n_snapshots]),
         )
 
 

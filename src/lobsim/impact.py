@@ -62,7 +62,20 @@ class ImpactCurve:
 
     @property
     def ccdf(self) -> tuple[np.ndarray, np.ndarray]:
-        return estimate_ccdf(self.samples)
+        """P(shift > x) at each realized shift x, from the counts."""
+        ticks = np.flatnonzero(self.counts)
+        return estimate_ccdf(ticks * self.tick_size, self.counts[ticks])
+
+    @property
+    def median(self) -> float:
+        """``np.median`` of the samples: the mean of the two middle
+        order statistics, found in the cumulative counts."""
+        cum = np.cumsum(self.counts)
+        if not (cum.size and cum[-1]):
+            raise ValueError("a curve without samples has no median")
+        middle = np.searchsorted(cum, [(cum[-1] - 1) // 2, cum[-1] // 2],
+                                 side="right")
+        return float(np.mean(middle * self.tick_size))
 
     @classmethod
     def pool(cls, curves) -> "ImpactCurve":
@@ -163,10 +176,12 @@ def curve_distance(a: ImpactCurve, b: ImpactCurve) -> float:
     their supports and returns the largest absolute difference. A curve
     without samples has no CCDF, so it raises.
     """
-    xa, xb = a.samples, b.samples  # sorted
-    if not (xa.size and xb.size):
+    if not (a.counts.any() and b.counts.any()):
         raise ValueError("cannot compare a curve that has no samples")
+    (xa, pa), (xb, pb) = a.ccdf, b.ccdf
     grid = np.union1d(xa, xb)
-    ccdf_a = 1.0 - np.searchsorted(xa, grid, side="right") / xa.size
-    ccdf_b = 1.0 - np.searchsorted(xb, grid, side="right") / xb.size
+    # P(shift > x) is 1 below a curve's support, else its CCDF at the
+    # largest support point <= x
+    ccdf_a = np.append(1.0, pa)[np.searchsorted(xa, grid, side="right")]
+    ccdf_b = np.append(1.0, pb)[np.searchsorted(xb, grid, side="right")]
     return float(np.max(np.abs(ccdf_a - ccdf_b)))

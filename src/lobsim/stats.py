@@ -127,19 +127,26 @@ def estimate_pdf(values: np.ndarray, bins="fd") -> Histogram:
     return Histogram(edges=edges, density=density)
 
 
-def estimate_ccdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def estimate_ccdf(values: np.ndarray,
+                  counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Empirical complementary CDF, P(X > x) at each distinct sample value.
 
-    Returns (x, ccdf) with x sorted ascending; the CCDF is monotone
-    nonincreasing, equals 1 - 1/n at the minimum of a tie-free sample
-    and 0 at the maximum.
+    ``counts``, if given, is each value's multiplicity, so a histogram
+    need not be expanded into its samples. Returns (x, ccdf) with x
+    sorted ascending; the CCDF is monotone nonincreasing, equals
+    1 - 1/n at the minimum of a tie-free sample and 0 at the maximum.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    counts = np.asarray(np.ones(values.shape) if counts is None else counts,
+                        dtype=np.int64)
+    if counts.shape != values.shape or np.any(counts < 0):
+        raise ValueError("counts must be one count >= 0 per value")
+    held = counts > 0
+    xs, inverse = np.unique(values[held], return_inverse=True)
+    if xs.size == 0:
         raise ValueError("cannot estimate a CCDF from no samples")
-    xs, counts = np.unique(values, return_counts=True)
-    ccdf = 1.0 - np.cumsum(counts) / values.size
-    return xs, ccdf
+    cum = np.cumsum(np.bincount(inverse, weights=counts[held]))
+    return xs, 1.0 - cum / cum[-1]
 
 
 def lognormal_reference(sigmas: np.ndarray) -> tuple[float, float]:

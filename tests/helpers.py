@@ -1,6 +1,8 @@
-"""Shared stream generators and book builders."""
+"""Shared stream generators, book builders and row-wise references."""
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -98,3 +100,19 @@ def depth_rows(depth: Depth) -> list[Depth]:
             depth.ask_ticks[asks], depth.ask_shares[asks],
         ))
     return rows
+
+
+def snapshot_csv_rows(depth: Depth):
+    """The rows of ``snapshots.csv`` for ``depth``, row by row: each
+    snapshot's bid levels, then its asks, as (step, side, tick, price,
+    shares) with buy volume negated."""
+    tick = depth.tick_size
+    bids = zip(depth.bid_ticks.tolist(), depth.bid_shares.tolist())
+    asks = zip(depth.ask_ticks.tolist(), depth.ask_shares.tolist())
+    for step, n_bids, n_asks in zip(depth.steps.tolist(),
+                                    depth.bid_counts.tolist(),
+                                    depth.ask_counts.tolist()):
+        for t, s in islice(bids, n_bids):
+            yield step, "buy", t, t * tick, -s
+        for t, s in islice(asks, n_asks):
+            yield step, "sell", t, t * tick, s

@@ -24,6 +24,8 @@ from lobsim.orderbook import Depth, Side
 from lobsim import experiments, simulator
 from lobsim.simulator import SimConfig, derive_seed, run
 
+from .helpers import snapshot_csv_rows
+
 
 def tiny_scenario(name="tiny", seeds=(5, 2), **cfg_overrides) -> Scenario:
     cfg = dict(
@@ -138,6 +140,19 @@ def test_scenario_validation(tmp_path):
     path.write_text("name = z\ntrader.a.count = 5\nimpact_volumes = 0\n")
     with pytest.raises(ValueError, match="impact_volumes"):
         scenario_from_config(path)
+
+
+@pytest.mark.parametrize("vol_window, covers", [(5000, 83), (119, 1)])
+def test_vol_window_must_fit_one_run(vol_window, covers):
+    # 2800 post-warmup steps: 46 one-minute returns per run
+    scen = tiny_scenario(horizon_T=4000, warmup=1200)
+    volatility = frozenset({"volatility_pdf"})
+    with pytest.raises(ValueError, match=f"vol_window = {vol_window} covers "
+                                         f"{covers} return samples.* 2 to 46"):
+        replace(scen, outputs=volatility, vol_window=vol_window)
+    replace(scen, vol_window=vol_window)  # not read without volatility_pdf
+    for fits in (120, 46 * 60 + 59):
+        replace(scen, outputs=volatility, vol_window=fits)
 
 
 def test_impact_outputs_with_explicit_volumes(tmp_path):
@@ -311,16 +326,68 @@ def test_trade_tape_csv_is_the_tape(tmp_path):
     assert {r[3] for r in rows} == {"buy", "sell"}
 
 
+def _csv_text(header, rows) -> str:
+    """CSV text as the row-wise writer made it: str of each cell."""
+    return "".join(",".join(map(str, row)) + "\n"
+                   for row in [header, *rows])
+
+
 @pytest.mark.parametrize("n_rows", [0, 1, experiments.CSV_CHUNK,
                                     2 * experiments.CSV_CHUNK + 3])
 def test_chunked_csv_is_the_joined_text(tmp_path, n_rows):
-    header = ("step", "price", "side")
-    rows = [(i, i / 7, "buy") for i in range(n_rows)]
+    i = np.arange(n_rows)
+    # signed zeros, two NaN payloads and infinities among distinct floats
+    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+    specials = np.array([-0.0, 0.0, np.nan, other_nan[0], np.inf, -np.inf])
+    columns = (
+        i,
+        np.where(i % 2 == 0, specials[i // 2 % 6], i / 7),
+        np.where(i % 3 == 0, "buy", "sell"),
+        # seeds on both sides of 2**63
+        np.array([5, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)[i % 4],
+    )
+    header = ("step", "price", "side", "seed")
     path = tmp_path / "nested" / "rows.csv"
-    experiments._write_csv(path, header, iter(rows))
-    joined = "\n".join([",".join(header)]
-                       + [",".join(map(str, row)) for row in rows]) + "\n"
-    assert path.read_bytes() == joined.encode()
+    experiments._write_csv(path, header, columns)
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert path.read_text() == _csv_text(header, rows)
+    if n_rows > 12:
+        assert {"-0.0", "0.0", "nan", "inf", "-inf"} <= {
+            line.split(",")[1] for line in path.read_text().splitlines()}
+
+
+def test_summary_csv_prints_seeds_past_2_63(tmp_path):
+    big = 2**63 + 5
+    run_scenario(tiny_scenario(seeds=(big, 3)), out_dir=tmp_path, workers=1)
+    lines = (tmp_path / "tiny/pooled/summary.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["3", str(big)]
+
+
+def test_run_csvs_are_the_rowwise_text(tmp_path):
+    scen = replace(tiny_scenario(seeds=(5,)), outputs=experiments.KNOWN_OUTPUTS,
+                   impact_volumes=(10,))
+    art, = run_scenario(scen, out_dir=tmp_path, workers=1).runs
+    out = run(replace(scen.effective_config(), seed=5))
+    tape, tick = out.trade_tape, scen.config.tick_size
+    expected = {
+        "trade_tape.csv": _csv_text(
+            ("step", "price", "shares", "aggressor_side"),
+            zip(tape["step"].tolist(), (tape["tick"] * tick).tolist(),
+                tape["shares"].tolist(),
+                ["buy" if b else "sell" for b in tape["buy"].tolist()])),
+        "price_series.csv": _csv_text(
+            ("step", "price", "resting_volume"),
+            zip(range(1, scen.config.horizon_T + 1), out.price_series.tolist(),
+                out.resting_volume_series.tolist())),
+        "volatility_series.csv": _csv_text(
+            ("window_index", "sigma"), enumerate(art.volatilities.tolist())),
+        "snapshots.csv": _csv_text(
+            ("step", "side", "tick", "price", "shares"),
+            snapshot_csv_rows(out.depth)),
+    }
+    assert len(out.depth) and art.volatilities.size
+    seed_dir = tmp_path / "tiny/runs/5"
+    assert {name: (seed_dir / name).read_text() for name in expected} == expected
 
 
 def test_impact_outputs_quantile_path():

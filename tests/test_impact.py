@@ -234,6 +234,31 @@ def test_distance_needs_samples_on_both_curves():
             curve_distance(a, b)
 
 
+def test_histogram_reads_are_the_sample_reads(rng):
+    # what ccdf, median and curve_distance gave on the expanded samples
+    def distance(a, b):
+        xa, xb = a.samples, b.samples
+        grid = np.union1d(xa, xb)
+        ccdf_a = 1.0 - np.searchsorted(xa, grid, side="right") / xa.size
+        ccdf_b = 1.0 - np.searchsorted(xb, grid, side="right") / xb.size
+        return float(np.max(np.abs(ccdf_a - ccdf_b)))
+
+    curves = [_curve(t) for t in ([0], [3, 3, 7], [5, 1], [2, 0, 0, 9],
+                                  rng.geometric(0.1, 501),
+                                  rng.geometric(0.05, 400))]
+    for a in curves:
+        xs, probs = a.ccdf
+        ref_xs, per_x = np.unique(a.samples, return_counts=True)
+        assert xs.tolist() == ref_xs.tolist()
+        assert probs.tolist() == (
+            1.0 - np.cumsum(per_x) / a.samples.size).tolist()
+        assert a.median == float(np.median(a.samples))
+        for b in curves:
+            assert curve_distance(a, b) == distance(a, b)
+    with pytest.raises(ValueError, match="no median"):
+        _curve([]).median
+
+
 def test_distance_symmetry(rng):
     a = _curve(rng.geometric(0.1, 300))
     b = _curve(rng.geometric(0.05, 400))

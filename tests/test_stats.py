@@ -250,6 +250,26 @@ def test_ccdf_hand_counted():
     assert ccdf.tolist() == pytest.approx([0.8, 0.7, 0.5, 0.4, 0.2, 0.1, 0.0])
 
 
+def test_ccdf_from_counts_is_the_expanded_ccdf(rng):
+    values = rng.integers(0, 30, 40) * 0.1  # ties across entries
+    counts = rng.integers(0, 5, 40)
+    counts[:3] = 0  # a value held 0 times is no sample
+    xs, ccdf = stats.estimate_ccdf(values, counts)
+    samples = np.repeat(values, counts)
+    ref_xs, per_x = np.unique(samples, return_counts=True)
+    assert xs.tolist() == ref_xs.tolist()
+    assert ccdf.tolist() == (1.0 - np.cumsum(per_x) / samples.size).tolist()
+
+
+def test_ccdf_counts_validation():
+    with pytest.raises(ValueError, match="one count >= 0 per value"):
+        stats.estimate_ccdf([1.0, 2.0], [3])
+    with pytest.raises(ValueError, match="one count >= 0 per value"):
+        stats.estimate_ccdf([1.0, 2.0], [3, -1])
+    with pytest.raises(ValueError, match="no samples"):
+        stats.estimate_ccdf([1.0, 2.0], [0, 0])
+
+
 def test_ccdf_min_value_convention(rng):
     vals = rng.permutation(np.arange(1.0, 11.0))
     xs, ccdf = stats.estimate_ccdf(vals)
