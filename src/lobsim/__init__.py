@@ -18,8 +18,6 @@ from .orderbook import (
     OrderBook,
     OrderRejected,
     Side,
-    price_to_tick,
-    tick_to_price,
 )
 from .simulator import SimConfig, SimOutput, calibrate_c, derive_seed, run
 from .experiments import (
@@ -57,12 +55,10 @@ __all__ = [
     "derive_seed",
     "impact_distribution",
     "lifetime_sweep",
-    "price_to_tick",
     "quantile_volumes",
     "run",
     "run_scenario",
     "scenario_from_config",
-    "tick_to_price",
     "write_config",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Trader behaviors: the distribution draws of one activation.
+"""Trader behaviors: the draws of every activation, as columns.
 
 Two trader kinds share one rule set. A trader activates, flips a fair
 coin for side, draws a limit price from a normal centered on the best
@@ -7,16 +7,9 @@ exponential order size scaled by kappa, an exponential lifetime, and an
 exponential waiting time to its next activation. RandomTrader has
 kappa = 1; BigTrader scales its order sizes by kappa.
 
-The run draws its randomness in blocks of standardized values, which
-serve every trader group: ``normal(loc, s)`` is ``loc + s * z`` and
-``exponential(s)`` is ``s * e``. ``draw_block`` takes the draws for
-``DRAW_BLOCK`` activations from the caller's RNG with one numpy call per
-draw kind, in a fixed order: ``random(B)``, ``standard_normal(B)``,
-``standard_exponential((3, B))``. Activation i reads row i, ``(u, z,
-e_vol, e_lt, e_wait)``, and ``act`` scales that row by its group's
-parameters. Two runs with equal seeds therefore produce identical draw
-sequences. A trader holds no state of its own: the run loop builds the
-order and schedules the next activation from what ``act`` returns.
+Only the price center depends on the book: ``activations`` draws the
+rest ahead of the run, ``WINDOW`` steps at a time, and ``act`` centers
+one activation's price offset on the book. Equal seeds give equal draws.
 """
 
 from __future__ import annotations
@@ -29,13 +22,11 @@ from enum import Enum
 
 import numpy as np
 
-from .orderbook import BUY, SELL, Side, price_to_tick, tick_to_price
-
 __all__ = [
     "TraderKind",
     "TraderSpec",
-    "DRAW_BLOCK",
-    "draw_block",
+    "WINDOW",
+    "activations",
     "act",
     "MIN_RECOMMENDED_LIFETIME",
 ]
@@ -44,7 +35,7 @@ __all__ = [
 # the placement distribution; allowed, but flagged.
 MIN_RECOMMENDED_LIFETIME = 40.0
 
-DRAW_BLOCK = 1024  # activations per refill of the standardized draws
+WINDOW = 8192  # steps whose activations are drawn at once
 
 
 class TraderKind(Enum):
@@ -103,53 +94,68 @@ class TraderSpec:
             raise ValueError("sigma_price must be positive")
 
 
-def draw_block(rng: np.random.Generator):
-    """Standardized draws ``(u, z, e_vol, e_lt, e_wait)`` for the next
-    ``DRAW_BLOCK`` activations, one row each, from one numpy call per
-    draw kind in this order: uniforms, standard normals, and three rows
-    of standard exponentials (volume, lifetime, wait)."""
-    n = DRAW_BLOCK
-    return zip(rng.random(n).tolist(), rng.standard_normal(n).tolist(),
-               *rng.standard_exponential((3, n)).tolist())
+def activations(config, rng: np.random.Generator):
+    """Yield a run's activations as columns ``(step, trader, buy, offset,
+    shares, lifetime)``, one ``WINDOW`` of steps 1..horizon_T at a time.
 
-
-def act(
-    spec: TraderSpec,
-    book_view,
-    draws: tuple[float, float, float, float, float],
-    step: int,
-    mean_wait: float,
-    mu_vol: float,
-    fallback_price: float,
-) -> tuple[Side, int, int, int, int]:
-    """One activation of a trader of group ``spec`` at ``step``.
-
-    Turns one row of standardized draws ``(u, z, e_vol, e_lt, e_wait)``
-    into ``(side, limit, shares, lifetime, wait)``: the order's side,
-    limit tick, size and lifetime in steps, and the steps until the
-    trader's next activation.
-
-    - side: BUY when u < 0.5, else SELL;
-    - limit: N(center, sigma_price) rounded to the nearest tick and
-      clamped to tick 1, centered on the best price of the trader's own
-      side (best bid for buys, best ask for sells), or on
-      ``fallback_price`` when that side is empty;
-    - shares: kappa * Exp(mean mu_vol), nearest int, >= 1;
-    - lifetime: Exp(mean mu_lifetime), ceiling, >= 1;
-    - wait: Exp(mean ``mean_wait`` = c*N), ceiling, >= 1.
-
-    The draws do not depend on ``step``; it names the activation for
-    wrappers that watch the calls.
+    Rows come by step, and within a step by one uniform key each;
+    ``trader`` numbers the traders group by group. A trader acts at the
+    partial sums from step 0 of its waits, Exp(mean c*N), ceiling, >= 1,
+    drawn as one (traders, k) block per pass over a window. Per row, by
+    its trader's group: buy is a fair coin; offset is N(0, sigma_price)
+    in price units, which ``act`` centers; shares are kappa * Exp(mean
+    mu_vol), nearest int, >= 1; lifetime is Exp(mean mu_lifetime),
+    ceiling, >= 1. ``rng`` gives the first waits, then per window the
+    wait blocks, the keys, the coins, the normals and the exponentials.
     """
-    u, z, e_vol, e_lt, e_wait = draws
-    if u < 0.5:
-        side, center = BUY, book_view.best_bid()
-    else:
-        side, center = SELL, book_view.best_ask()
+    specs, n = config.trader_specs, config.n_traders
+    if n == 0:
+        return
+    sigma, volume, lifetime = np.repeat(np.array(
+        [(s.sigma_price, s.kappa * config.mu_vol, s.mu_lifetime) for s in specs]
+    ).T, [s.count for s in specs], axis=1)
+    mean_wait = config.c * n
+    k = 8 + int(1.25 * WINDOW / mean_wait)  # waits per trader and pass
+
+    def waits(shape):
+        waits = np.ceil(mean_wait * rng.standard_exponential(shape))
+        return np.maximum(waits, 1).astype(np.int64)
+
+    pending = waits(n)  # each trader's next step
+    stop = config.horizon_T + 1
+    for lo in range(1, stop, WINDOW):
+        hi = min(lo + WINDOW, stop)
+        steps, traders = [np.empty(0, np.int64)], [np.empty(0, np.intp)]
+        ids = np.flatnonzero(pending < hi)
+        while ids.size:
+            # row i: trader ids[i]'s pending step, then one per wait after it
+            times = np.cumsum(np.column_stack(
+                (pending[ids], waits((ids.size, k)))), axis=1)
+            acts = times[:, :k] < hi
+            steps.append(times[:, :k][acts])
+            traders.append(np.repeat(ids, k)[acts.ravel()])
+            pending[ids] = times[np.arange(ids.size), acts.sum(axis=1)]
+            ids = ids[pending[ids] < hi]
+        steps, traders = np.concatenate(steps), np.concatenate(traders)
+        order = np.lexsort((rng.random(steps.size), steps))
+        steps, traders = steps[order], traders[order]
+        buy = rng.random(steps.size) < 0.5
+        z = rng.standard_normal(steps.size)
+        e_vol, e_lt = rng.standard_exponential((2, steps.size))
+        shares = np.maximum(np.rint(volume[traders] * e_vol), 1)
+        lifetimes = np.maximum(np.ceil(lifetime[traders] * e_lt), 1)
+        yield (steps, traders, buy, sigma[traders] * z,
+               shares.astype(np.int64), lifetimes.astype(np.int64))
+
+
+def act(book_view, buy: bool, offset: float, step: int,
+        fallback_price: float) -> int:
+    """The limit tick of an activation at ``step``: ``offset`` price units
+    from the best price of the own side (best bid for a buy, best ask for
+    a sell), or from ``fallback_price`` when that side is empty, rounded
+    to the nearest tick and clamped to tick 1. ``step`` does not enter the
+    tick; it names the activation for wrappers that watch the calls."""
+    center = book_view.best_bid() if buy else book_view.best_ask()
     tick_size = book_view.tick_size
-    price = fallback_price if center is None else tick_to_price(center, tick_size)
-    return (side,
-            price_to_tick(price + spec.sigma_price * z, tick_size),
-            max(1, round(spec.kappa * mu_vol * e_vol)),
-            max(1, math.ceil(spec.mu_lifetime * e_lt)),
-            max(1, math.ceil(mean_wait * e_wait)))
+    price = fallback_price if center is None else center * tick_size
+    return max(1, round((price + offset) / tick_size))

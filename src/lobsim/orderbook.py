@@ -29,8 +29,6 @@ __all__ = [
     "Depth",
     "OrderBook",
     "OrderRejected",
-    "tick_to_price",
-    "price_to_tick",
 ]
 
 
@@ -44,16 +42,6 @@ BUY, SELL = Side.BUY, Side.SELL  # hot paths: a global beats Side.BUY
 
 class OrderRejected(ValueError):
     """Order failed admission checks (bad id, shares or limit)."""
-
-
-def tick_to_price(tick: int, tick_size: float) -> float:
-    """Price of a tick index, in price units."""
-    return tick * tick_size
-
-
-def price_to_tick(price: float, tick_size: float) -> int:
-    """Nearest tick index for a price, clamped to the minimum tick 1."""
-    return max(1, int(round(price / tick_size)))
 
 
 @dataclass(slots=True, eq=False)
@@ -321,10 +309,16 @@ class OrderBook:
     # ------------------------------------------------------------------
 
     def snapshot(self, step: int) -> Depth:
-        """One-row depth record of the book, best level first on both sides."""
-        columns = [[step]]
-        for side in (self._bids, self._asks):
-            ticks = side.sorted_ticks()
-            columns += [[len(ticks)], ticks, [side.level_shares[t] for t in ticks]]
-        return Depth(self.tick_size,
-                     *(np.array(c, dtype=np.int64) for c in columns))
+        """One-row depth record of the book, best level first on both
+        sides; its seven columns are slices of one int64 array."""
+        bids, asks = self._bids, self._asks
+        bid_ticks, ask_ticks = bids.sorted_ticks(), asks.sorted_ticks()
+        nb, na = len(bid_ticks), len(ask_ticks)
+        row = np.array([step, nb, *bid_ticks,
+                        *map(bids.level_shares.get, bid_ticks),
+                        na, *ask_ticks, *map(asks.level_shares.get, ask_ticks)],
+                       dtype=np.int64)
+        a = 2 * nb + 3  # the first ask tick
+        return Depth(self.tick_size, row[:1], row[1:2], row[2:nb + 2],
+                     row[nb + 2:a - 1], row[a - 1:a], row[a:a + na],
+                     row[a + na:])

@@ -1,12 +1,14 @@
 """Discrete-time market simulation loop.
 
-Each step: traders scheduled for the step are shuffled (preventing
-serial correlations from a fixed activation order), each submits one
-limit order, then expired orders are removed and the step's last trade
-price, resting volume and (optionally) a depth snapshot are recorded.
-Only steps with an activation, a due expiry (``OrderBook.next_expiry``)
-or a snapshot do this work; the others repeat the record before them.
-A run is fully determined by its config, including the seed.
+The loop walks the activation rows of ``agents.activations``, each
+step's traders in a uniform order (preventing serial correlations from
+a fixed activation order): ``act`` turns each row into a limit tick
+against the book and the order goes through ``OrderBook.submit``. After
+a step's submissions, expired orders are removed and the step's last
+trade price, resting volume and (optionally) a depth snapshot are
+recorded. Only steps with an activation, a due expiry
+(``OrderBook.next_expiry``) or a snapshot do this work; the others
+repeat the record before them. A run is fully determined by its config.
 
 Also provides trade-frequency calibration: rescale the waiting-time
 scale c by measured/target trades-per-minute of short probe runs until
@@ -20,11 +22,12 @@ import operator
 from array import array
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .agents import TraderSpec, act, cast_fields, draw_block
-from .orderbook import BUY, Depth, Order, OrderBook
+from .agents import TraderSpec, act, activations, cast_fields
+from .orderbook import BUY, SELL, Depth, Order, OrderBook
 
 __all__ = [
     "SimConfig",
@@ -134,30 +137,15 @@ def run(config: SimConfig) -> SimOutput:
     """Run one simulation; deterministic given the config."""
     rng = np.random.default_rng(config.seed)
     book = OrderBook(config.tick_size)
-    tick_size = config.tick_size
-    n_traders = config.n_traders
-    mean_wait = config.c * n_traders
-    mu_vol = config.mu_vol
-    horizon = config.horizon_T
-    warmup = config.warmup
-    snap_every = config.snapshot_interval
+    tick_size, horizon = config.tick_size, config.horizon_T
+    warmup, snap_every = config.warmup, config.snapshot_interval
 
-    # A trader is its id: specs[id] is its group; schedule[step] lists the
-    # ids activating at step, seeded by one block of standard exponential
-    # waits, one per trader in id order. Activations then read their draws
-    # row by row from blocks refilled as they run out (agents.draw_block).
-    specs = [spec for spec in config.trader_specs for _ in range(spec.count)]
-    schedule: dict[int, list[int]] = {}
-    for trader_id, e in enumerate(rng.standard_exponential(n_traders).tolist()):
-        schedule.setdefault(max(1, math.ceil(mean_wait * e)), []).append(trader_id)
-    rows = iter(())
-
-    # Each step that does work marks (step, last price, resting shares);
-    # the steps between two marks repeat the first (np.repeat over gaps).
+    # Each step that does work marks (step, resting shares), and so does
+    # step 0, the empty book; the steps between two marks repeat the
+    # first (np.repeat over gaps). A mark's price is the tape's last fill
+    # at or before its step.
     tape = array("q")  # TAPE_DTYPE rows, one field after another
-    mark_steps = array("q", [1])  # before the first mark: the empty book
-    mark_prices = array("d", [config.start_price])
-    mark_volumes = array("q", [0])
+    mark_steps, mark_volumes = array("q"), array("q")
     snapshots: list[Depth] = []
     last_price = config.start_price
     next_order_id = 0  # also the count of orders submitted
@@ -165,52 +153,57 @@ def run(config: SimConfig) -> SimOutput:
     due = never = horizon + 1  # due: the book's next expiry step
     snap_at = (warmup // snap_every + 1) * snap_every if snap_every else never
 
-    for step in range(1, horizon + 1):
-        active = schedule.pop(step, None)
-        if active:
-            if len(active) > 1:  # shuffling one id draws nothing
-                rng.shuffle(active)
-            for trader_id in active:
-                draws = next(rows, None)
-                if draws is None:
-                    rows = draw_block(rng)
-                    draws = next(rows)
-                side, limit, shares, lifetime, wait = act(
-                    specs[trader_id], book, draws, step, mean_wait, mu_vol,
-                    last_price)
-                next_order_id += 1
-                fills, _ = book.submit(Order(next_order_id, side, limit, shares,
-                                             step, step + lifetime))
-                if fills:
-                    buy = side is BUY
-                    for tick, n, _ in fills:
-                        tape.extend((step, tick, n, buy))
-                    last_price = fills[-1][0] * tick_size
-                schedule.setdefault(step + wait, []).append(trader_id)
-        elif step < due and step < snap_at:
-            continue
+    def settle(step):
+        # after the step's submissions: due expiries, the mark, the snapshot
+        nonlocal due, snap_at, n_expired
         if due <= step:
             n_expired += len(book.expire(step))
         due = book.next_expiry() or never  # expiry steps are >= 1
         mark_steps.append(step)
-        mark_prices.append(last_price)
         mark_volumes.append(book.resting_shares())
         if step == snap_at:
             snapshots.append(book.snapshot(step))
             snap_at += snap_every
 
-    gaps = np.diff(np.frombuffer(mark_steps, dtype=np.int64), append=never)
+    current = 0  # the step whose activations are being submitted
+    rows = chain.from_iterable(
+        zip(step.tolist(), buy.tolist(), offset.tolist(), shares.tolist(),
+            lifetime.tolist())
+        for step, _, buy, offset, shares, lifetime in activations(config, rng))
+    for step, buy, offset, shares, lifetime in rows:
+        if step != current:
+            settle(current)
+            while (quiet := min(due, snap_at)) < step:
+                settle(quiet)
+            current = step
+        limit = act(book, buy, offset, step, last_price)
+        next_order_id += 1
+        fills, _ = book.submit(Order(next_order_id, BUY if buy else SELL,
+                                     limit, shares, step, step + lifetime))
+        if fills:
+            for tick, n, _ in fills:
+                tape.extend((step, tick, n, buy))
+            last_price = fills[-1][0] * tick_size
+    settle(current)
+    while (quiet := min(due, snap_at)) <= horizon:
+        settle(quiet)
+
     trade_tape = np.empty(len(tape) // 4, dtype=TAPE_DTYPE)
     for name, column in zip(TAPE_DTYPE.names, np.reshape(tape, (-1, 4)).T):
         trade_tape[name] = column
+    marks = np.frombuffer(mark_steps, dtype=np.int64)
+    gaps = np.diff(marks, append=never)
+    prices = np.concatenate(([config.start_price],
+                             trade_tape["tick"] * tick_size))
+    last_fill = np.searchsorted(trade_tape["step"], marks, side="right")
     post_trades = int(np.count_nonzero(trade_tape["step"] > warmup))
     minutes = (horizon - warmup) / config.steps_per_minute
     return SimOutput(
         config=config,
         trade_tape=trade_tape,
-        price_series=np.repeat(np.frombuffer(mark_prices), gaps),
+        price_series=np.repeat(prices[last_fill], gaps)[1:],
         resting_volume_series=np.repeat(
-            np.frombuffer(mark_volumes, dtype=np.int64), gaps),
+            np.frombuffer(mark_volumes, dtype=np.int64), gaps)[1:],
         depth=Depth.concat(snapshots, tick_size),
         trades_per_minute=post_trades / minutes,
         n_submitted=next_order_id,
@@ -283,6 +276,9 @@ def calibrate_c(
     (averaged over n_seeds derived seeds) and return the measured c once
     it lies within rel_tol of the target, so the next step would move c
     by at most rel_tol; a measurement without trades quarters c instead.
+    Near the target tpm falls faster than 1/c, so Newton steps overshoot
+    and alternate around it: when the last two measurements straddle the
+    target, the next c interpolates log c against log tpm between them.
     Each measurement's seeds run on ``pool`` when given (see
     ``fan_out``); the result is the same float with or without one.
 
@@ -293,11 +289,19 @@ def calibrate_c(
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     c = probe_config.c
+    last_c = last_tpm = 0.0
     for _ in range(max_iter):
         tpm = _probe_tpm(probe_config, c, n_seeds, pool)
         if abs(tpm - target_tpm) <= rel_tol * target_tpm:
             return c
-        c = c * tpm / target_tpm if tpm > 0 else c / 4.0
+        if tpm == 0:
+            new_c = c / 4.0
+        elif last_tpm > 0 and (tpm > target_tpm) != (last_tpm > target_tpm):
+            share = math.log(target_tpm / tpm) / math.log(last_tpm / tpm)
+            new_c = c * (last_c / c) ** share
+        else:
+            new_c = c * tpm / target_tpm
+        c, last_c, last_tpm = new_c, c, tpm
     raise RuntimeError(
         f"calibration failed to converge in {max_iter} probe evaluations"
     )

@@ -34,6 +34,23 @@ def make_stream(
                     (steps + lifetimes).tolist()))
 
 
+def discrete_ks(samples: np.ndarray, cdf_at) -> float:
+    """Sup distance between an integer sample's ECDF and a discrete CDF."""
+    xs, counts = np.unique(samples, return_counts=True)
+    ecdf = np.cumsum(counts) / samples.size
+    return float(np.max(np.abs(ecdf - cdf_at(xs))))
+
+
+def trader_gaps(steps: np.ndarray, traders: np.ndarray):
+    """Each trader's waits, in steps, from step 0 to each of its
+    activations in turn: ``(gaps, ends)``, where a gap ends at step
+    ``ends`` and began at ``ends - gaps``. Rows come in run order."""
+    by_trader = np.argsort(traders, kind="stable")
+    ends, who = steps[by_trader], traders[by_trader]
+    first = np.r_[True, who[1:] != who[:-1]]
+    return ends - np.where(first, 0, np.r_[0, ends[:-1]]), ends
+
+
 def build_random_book(
     rng: np.random.Generator,
     n_orders: int = 40,

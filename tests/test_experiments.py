@@ -182,17 +182,17 @@ def test_pinned_volume_deeper_than_one_seeds_book():
                     impact_volumes=(10, 160))
     inline = run_scenario(scen, workers=1)
     pooled = run_scenario(scen, workers=2)
-    seed1, seed2 = inline.runs
-    # seed 1's ask side never holds 160 shares, seed 2's sometimes does
-    assert seed1.impact_curves[160].samples.size == 0
-    assert seed1.impact_curves[160].censored_count == seed1.n_snapshots
-    assert seed2.impact_curves[160].samples.size > 0
+    deep, shallow = inline.runs
+    # seed 2's ask side never holds 160 shares, seed 1's sometimes does
+    assert shallow.impact_curves[160].samples.size == 0
+    assert shallow.impact_curves[160].censored_count == shallow.n_snapshots
+    assert deep.impact_curves[160].samples.size > 0
     curve = inline.impact_curves[160]
     assert curve.samples.size > 0
     assert curve.censored_count == (
-        seed1.n_snapshots + seed2.impact_curves[160].censored_count
+        shallow.n_snapshots + deep.impact_curves[160].censored_count
     )
-    assert curve.n_snapshots == seed1.n_snapshots + seed2.n_snapshots
+    assert curve.n_snapshots == shallow.n_snapshots + deep.n_snapshots
     for v in (10, 160):
         np.testing.assert_array_equal(inline.impact_curves[v].samples,
                                       pooled.impact_curves[v].samples)

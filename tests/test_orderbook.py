@@ -14,8 +14,6 @@ from lobsim.orderbook import (
     OrderBook,
     OrderRejected,
     Side,
-    price_to_tick,
-    tick_to_price,
 )
 
 from .helpers import (build_random_book, depth_rows, make_stream,
@@ -329,16 +327,6 @@ def test_depth_concat_rejects_mixed_tick_sizes():
     with pytest.raises(ValueError, match=r"tick size 0\.1 with depth at "
                                          r"tick size \[0\.05\]"):
         Depth.concat(parts, 0.1)
-
-
-# ----------------------------------------------------------------------
-# tick conversion
-# ----------------------------------------------------------------------
-
-
-@given(st.integers(min_value=1, max_value=10**7))
-def test_tick_price_round_trip(tick):
-    assert price_to_tick(tick_to_price(tick, 0.1), 0.1) == tick
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lobsim.agents import TraderSpec
+from lobsim.agents import TraderSpec, activations
 from lobsim.experiments import post_warmup_prices
-from lobsim.orderbook import Depth
+from lobsim.orderbook import Depth, OrderBook
 from lobsim.simulator import (
     SimConfig,
     SimOutput,
@@ -19,7 +19,7 @@ from lobsim.simulator import (
     run,
 )
 
-from .helpers import depth_rows
+from .helpers import depth_rows, discrete_ks, trader_gaps
 
 
 def small_config(**overrides) -> SimConfig:
@@ -59,7 +59,10 @@ def test_same_seed_bit_identical():
     assert a.n_expired == b.n_expired
 
 
-def test_output_unchanged_across_draw_block_refills(monkeypatch):
+def test_window_edges_keep_the_schedule(monkeypatch):
+    """Windows of a few steps: each trader still acts at most once a step,
+    within the horizon, with ceil-exponential waits also across window
+    edges, and reruns stay byte-identical."""
     import lobsim.agents as agents
 
     def fingerprint(out):
@@ -68,16 +71,64 @@ def test_output_unchanged_across_draw_block_refills(monkeypatch):
                 out.n_expired, out.n_resting_end)
 
     cfg = small_config()
-    a, b = run(cfg), run(cfg)
-    assert a.n_submitted > 3 * agents.DRAW_BLOCK  # several refills
-    assert fingerprint(a) == fingerprint(b)
-    monkeypatch.setattr(agents, "DRAW_BLOCK", 7)
+    a = run(cfg)
+    monkeypatch.setattr(agents, "WINDOW", 7)
     small = run(cfg)
-    assert small.n_submitted > 500 * 7
     assert fingerprint(run(cfg)) == fingerprint(small)
-    # a block size is part of the stream: a smaller one lays the same
-    # draws out over other activations
+    # a window length is part of the stream: a shorter one lays the draws
+    # out over other activations
     assert fingerprint(small) != fingerprint(a)
+
+    sched = SimConfig(trader_specs=(TraderSpec(count=20),), c=1.0,
+                      horizon_T=200_003, warmup=0, seed=3)
+    windows = list(activations(sched, np.random.default_rng(sched.seed)))
+    assert len(windows) == -(-sched.horizon_T // 7)
+    steps, traders = (np.concatenate(cols) for cols in list(zip(*windows))[:2])
+    assert steps.min() >= 1 and steps.max() <= sched.horizon_T
+    assert np.unique(steps * 20 + traders).size == steps.size
+    gaps, ends = trader_gaps(steps, traders)
+    # a gap from a window's last step (or from step 0) crosses an edge
+    # whatever its length, so these are not a length-biased pick
+    at_edge = (ends - gaps) % 7 == 0
+    assert at_edge.sum() > 25_000
+    mu = sched.c * sched.n_traders
+    for sample, bound in ((gaps, 0.01), (gaps[at_edge], 0.015)):
+        assert discrete_ks(sample, lambda k: 1.0 - np.exp(-k / mu)) < bound
+
+
+def test_engine_calls_match_the_output(monkeypatch):
+    """The calls a tracer wraps add up to the run's output: one ``act``
+    per order at the order's step, never decreasing, the fills of
+    ``submit`` make the tape, ``expire`` removes ``n_expired`` orders
+    and each ``snapshot`` is one row of ``depth``."""
+    import lobsim.simulator as simulator
+
+    calls = {name: [] for name in ("act", "submit", "expire", "snapshot")}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name].append((args, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(simulator, "act", recording("act", simulator.act))
+    for name in ("submit", "expire", "snapshot"):
+        monkeypatch.setattr(OrderBook, name,
+                            recording(name, getattr(OrderBook, name)))
+    out = run(small_config(horizon_T=8_000, snapshot_interval=50))
+
+    act_steps = [args[3] for args, _ in calls["act"]]
+    orders = [args[1] for args, _ in calls["submit"]]
+    assert len(act_steps) == len(orders) == out.n_submitted > 1000
+    assert act_steps == [order.placed_step for order in orders]
+    assert all(a <= b for a, b in zip(act_steps, act_steps[1:]))
+    assert [order.limit for order in orders] == [
+        limit for _, limit in calls["act"]]
+    assert sum(len(fills) for _, (fills, _) in calls["submit"]) == len(
+        out.trade_tape)
+    assert sum(len(ids) for _, ids in calls["expire"]) == out.n_expired
+    assert len(calls["snapshot"]) == len(out.depth) > 100
 
 
 def test_series_match_tape_and_depth_at_every_step():
@@ -310,6 +361,46 @@ def test_calibrate_recovers_from_tradeless_probes(monkeypatch):
     last_c, last_tpm = measured[-1]
     assert c == last_c
     assert last_tpm == pytest.approx(target, rel=0.05)
+
+
+def test_calibrate_interpolates_when_it_straddles_the_target(monkeypatch):
+    import lobsim.simulator as simulator
+
+    measured = []
+    probe_tpm = simulator._probe_tpm
+
+    def recording(probe_config, c, n_seeds, pool):
+        tpm = probe_tpm(probe_config, c, n_seeds, pool)
+        measured.append((c, tpm))
+        return tpm
+
+    def newton_measurements(probe):
+        # the rule without interpolation: c <- c * tpm / target
+        c, n = probe.c, 0
+        while True:
+            tpm = probe_tpm(probe, c, 3, None)
+            n += 1
+            if abs(tpm - target) <= 0.05 * target:
+                return n
+            c = c * tpm / target if tpm > 0 else c / 4.0
+
+    monkeypatch.setattr(simulator, "_probe_tpm", recording)
+    target = 4.0
+    interpolated = newton = 0
+    for seed in (31, 77, 99):
+        measured.clear()
+        # c ten times its fixed point: Newton steps alone overshoot and
+        # alternate around the target
+        probe = small_config(c=50.0, horizon_T=15_000, seed=seed)
+        calibrate_c(target, probe, n_seeds=3)
+        interpolated += len(measured)
+        newton += newton_measurements(probe)
+        for (c1, tpm1), (c2, tpm2), (c3, _) in zip(measured, measured[1:],
+                                                   measured[2:]):
+            if (tpm1 - target) * (tpm2 - target) < 0:  # straddled
+                assert min(c1, c2) < c3 < max(c1, c2)
+        assert measured[-1][1] == pytest.approx(target, rel=0.05)
+    assert interpolated < newton
 
 
 def test_calibrate_rejects_bad_target():
