@@ -4,8 +4,9 @@ Price levels are integer tick indices (price = tick * tick_size); all
 matching logic runs on integers so no floating point enters the book.
 Each occupied level holds a FIFO queue of resting orders, giving
 price-time priority: better price first, earlier order id within a
-level. Best-price lookup uses a lazy heap over occupied ticks, expiry a
-lazy heap over (expires_step, order_id).
+level. Each side keeps its occupied ticks in one ascending list and its
+best tick as an attribute; expiry uses a lazy heap over
+(expires_step, order_id).
 
 Supports crossing limit orders (fills execute at the resting order's
 tick, remainder rests), expiry and per-level depth snapshots
@@ -17,6 +18,7 @@ side's worst tick acts as a market order that rests what it cannot fill.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -95,29 +97,16 @@ class Depth:
 
 @dataclass
 class _BookSide:
-    """One side of the book: FIFO queues per occupied tick.
-
-    ``heap`` holds candidate best ticks (bid ticks negated so the heap
-    top is always the best price); stale entries are discarded lazily
-    when the level they point at is no longer occupied.
-    """
+    """One side of the book: FIFO queues per occupied tick, the occupied
+    ``ticks`` in ascending order and the ``best`` of them (None if none)."""
 
     sign: int  # +1 asks (best = lowest), -1 bids (best = highest)
     levels: dict[int, deque[Order]] = field(default_factory=dict)
     level_shares: dict[int, int] = field(default_factory=dict)
-    heap: list[int] = field(default_factory=list)
+    ticks: list[int] = field(default_factory=list)
+    best: int | None = None
     total_shares: int = 0
     order_count: int = 0
-
-    def best(self) -> int | None:
-        heap = self.heap
-        levels = self.levels
-        while heap:
-            tick = self.sign * heap[0]
-            if tick in levels:
-                return tick
-            heapq.heappop(heap)
-        return None
 
     def add(self, order: Order) -> None:
         tick = order.limit
@@ -125,28 +114,14 @@ class _BookSide:
         if queue is None:
             self.levels[tick] = deque((order,))
             self.level_shares[tick] = order.shares
-            heapq.heappush(self.heap, self.sign * tick)
+            ticks = self.ticks
+            insort(ticks, tick)
+            self.best = ticks[0 if self.sign > 0 else -1]
         else:
             queue.append(order)
             self.level_shares[tick] += order.shares
         self.total_shares += order.shares
         self.order_count += 1
-
-    def remove(self, order: Order) -> None:
-        tick = order.limit
-        queue = self.levels[tick]
-        queue.remove(order)
-        if queue:
-            self.level_shares[tick] -= order.shares
-        else:
-            del self.levels[tick]
-            del self.level_shares[tick]
-        self.total_shares -= order.shares
-        self.order_count -= 1
-
-    def sorted_ticks(self) -> list[int]:
-        """Occupied ticks, best level first."""
-        return sorted(self.levels, reverse=self.sign < 0)
 
 
 class OrderBook:
@@ -172,10 +147,10 @@ class OrderBook:
     # ------------------------------------------------------------------
 
     def best_bid(self) -> int | None:
-        return self._bids.best()
+        return self._bids.best
 
     def best_ask(self) -> int | None:
-        return self._asks.best()
+        return self._asks.best
 
     def resting_shares(self) -> int:
         return self._bids.total_shares + self._asks.total_shares
@@ -214,7 +189,7 @@ class OrderBook:
             own, other = self._bids, self._asks
         else:
             own, other = self._asks, self._bids
-        best = other.best()
+        best = other.best
         if best is not None and other.sign * (best - order.limit) <= 0:
             fills, order.shares = self._match(order.shares, other, order.limit)
             if order.shares == 0:
@@ -232,24 +207,23 @@ class OrderBook:
         """Fill ``shares`` against ``book_side`` best-first.
 
         Levels are consumed while they cross ``limit``. Level and side
-        totals are updated once per level; a fully consumed level's tick
-        is the heap top, so it is popped at once. Returns the fills and
-        the shares left unfilled.
+        totals are updated once per level; a fully consumed level is the
+        best, so its tick is the end of ``ticks`` nearest the spread.
+        Returns the fills and the shares left unfilled.
         """
         fills: list[tuple[int, int, int]] = []
         orders = self._orders
         levels = book_side.levels
         level_shares = book_side.level_shares
-        heap = book_side.heap
+        ticks = book_side.ticks
         sign = book_side.sign
+        end = 0 if sign > 0 else -1  # the best tick's place in ticks
         # a level crosses when sign * tick <= sign * limit: asks (sign +1)
         # at or below a buy limit, bids (sign -1) at or above a sell limit
         bound = sign * limit
         remaining = shares
-        while remaining > 0:
-            best = book_side.best()
-            if best is None or sign * best > bound:
-                break
+        best = book_side.best
+        while remaining > 0 and best is not None and sign * best <= bound:
             queue = levels[best]
             level_fill = 0
             while queue and remaining > 0:
@@ -272,7 +246,9 @@ class OrderBook:
             else:
                 del levels[best]
                 del level_shares[best]
-                heapq.heappop(heap)
+                del ticks[end]
+                best = ticks[end] if ticks else None
+        book_side.best = best
         return fills, remaining
 
     # ------------------------------------------------------------------
@@ -289,8 +265,9 @@ class OrderBook:
 
     def expire(self, step: int) -> list[int]:
         """Remove every resting order with expires_step <= step and return
-        their ids. The run calls it after a step's submissions, on the steps
-        where ``next_expiry()`` is due (at or before the step)."""
+        their ids. The run calls it lazily: before a step's first
+        submission, through the step before, when an order is due by then,
+        and at snapshots and the end of the horizon."""
         removed: list[int] = []
         heap = self._expiry_heap
         orders = self._orders
@@ -300,7 +277,20 @@ class OrderBook:
             if order is None:
                 continue  # already fully filled
             side = self._bids if order.side is BUY else self._asks
-            side.remove(order)
+            tick = order.limit
+            queue = side.levels[tick]
+            queue.remove(order)
+            side.total_shares -= order.shares
+            side.order_count -= 1
+            if queue:
+                side.level_shares[tick] -= order.shares
+            else:
+                del side.levels[tick], side.level_shares[tick]
+                ticks = side.ticks
+                del ticks[bisect_left(ticks, tick)]
+                if tick == side.best:
+                    side.best = (ticks[0 if side.sign > 0 else -1]
+                                 if ticks else None)
             removed.append(order_id)
         return removed
 
@@ -312,7 +302,7 @@ class OrderBook:
         """One-row depth record of the book, best level first on both
         sides; its seven columns are slices of one int64 array."""
         bids, asks = self._bids, self._asks
-        bid_ticks, ask_ticks = bids.sorted_ticks(), asks.sorted_ticks()
+        bid_ticks, ask_ticks = bids.ticks[::-1], asks.ticks
         nb, na = len(bid_ticks), len(ask_ticks)
         row = np.array([step, nb, *bid_ticks,
                         *map(bids.level_shares.get, bid_ticks),

@@ -3,12 +3,12 @@
 The loop walks the activation rows of ``agents.activations``, each
 step's traders in a uniform order (preventing serial correlations from
 a fixed activation order): ``act`` turns each row into a limit tick
-against the book and the order goes through ``OrderBook.submit``. After
-a step's submissions, expired orders are removed and the step's last
-trade price, resting volume and (optionally) a depth snapshot are
-recorded. Only steps with an activation, a due expiry
-(``OrderBook.next_expiry``) or a snapshot do this work; the others
-repeat the record before them. A run is fully determined by its config.
+against the book and the order goes through ``OrderBook.submit``. The
+loop works only at activations: before a step's first submission it
+expires the orders due by the step before, and it takes the (optional)
+depth snapshots that fall since the last activation. The price and
+resting-volume series are rebuilt after the loop, from the trade tape
+and the order columns. A run is fully determined by its config.
 
 Also provides trade-frequency calibration: rescale the waiting-time
 scale c by measured/target trades-per-minute of short probe runs until
@@ -117,9 +117,11 @@ class SimOutput:
     (carried forward through tradeless steps, start_price before the
     first trade), so the series has exactly horizon_T entries and no
     gaps. ``resting_volume_series`` counts total shares resting in the
-    book after each step's expiry. ``trade_tape`` is a structured array
-    of ``TAPE_DTYPE``, one row per fill in fill order. ``depth`` holds
-    one row per snapshot (none when ``snapshot_interval`` is 0).
+    book at the end of each step, after its expired orders leave (what a
+    snapshot then would sum to). ``trade_tape`` is a structured array of
+    ``TAPE_DTYPE``, one row per fill in fill order. ``depth`` holds one
+    row per snapshot (none when ``snapshot_interval`` is 0). Both series
+    are rebuilt from the tape and the orders after the run's loop.
     """
 
     config: SimConfig
@@ -140,70 +142,76 @@ def run(config: SimConfig) -> SimOutput:
     tick_size, horizon = config.tick_size, config.horizon_T
     warmup, snap_every = config.warmup, config.snapshot_interval
 
-    # Each step that does work marks (step, resting shares), and so does
-    # step 0, the empty book; the steps between two marks repeat the
-    # first (np.repeat over gaps). A mark's price is the tape's last fill
-    # at or before its step.
-    tape = array("q")  # TAPE_DTYPE rows, one field after another
-    mark_steps, mark_volumes = array("q"), array("q")
+    tape = array("q")  # per fill: TAPE_DTYPE's fields, aggressor id, resting id
+    # shares resting after each step, as changes until the cumsum after the
+    # loop: orders add theirs at their step and take back what fills left at
+    # their end (expiry, or ``never``); fills take theirs from both sides
+    volumes = np.zeros(horizon + 2, dtype=np.int64)
+    ends = [np.empty(0, np.int64)]  # per window: its orders' ends
     snapshots: list[Depth] = []
     last_price = config.start_price
     next_order_id = 0  # also the count of orders submitted
     n_expired = 0
-    due = never = horizon + 1  # due: the book's next expiry step
+    due = never = horizon + 1  # at or before the earliest resting expiry
     snap_at = (warmup // snap_every + 1) * snap_every if snap_every else never
 
-    def settle(step):
-        # after the step's submissions: due expiries, the mark, the snapshot
+    def catch_up(step):
+        # expire through ``step``; each snapshot on the way follows its expiry
         nonlocal due, snap_at, n_expired
-        if due <= step:
-            n_expired += len(book.expire(step))
-        due = book.next_expiry() or never  # expiry steps are >= 1
-        mark_steps.append(step)
-        mark_volumes.append(book.resting_shares())
-        if step == snap_at:
-            snapshots.append(book.snapshot(step))
+        while True:
+            at = snap_at if snap_at < step else step
+            if due <= at:
+                n_expired += len(book.expire(at))
+                due = book.next_expiry() or never  # expiry steps are >= 1
+            if at < snap_at:
+                return
+            snapshots.append(book.snapshot(at))
             snap_at += snap_every
 
-    current = 0  # the step whose activations are being submitted
-    rows = chain.from_iterable(
-        zip(step.tolist(), buy.tolist(), offset.tolist(), shares.tolist(),
-            lifetime.tolist())
-        for step, _, buy, offset, shares, lifetime in activations(config, rng))
-    for step, buy, offset, shares, lifetime in rows:
-        if step != current:
-            settle(current)
-            while (quiet := min(due, snap_at)) < step:
-                settle(quiet)
-            current = step
+    def windows():
+        for step, _, buy, offset, shares, lifetime in activations(config, rng):
+            end = np.minimum(step + lifetime, never)
+            np.add.at(volumes, step, shares)
+            np.add.at(volumes, end, -shares)
+            ends.append(end)
+            yield zip(step.tolist(), buy.tolist(), offset.tolist(),
+                      shares.tolist(), lifetime.tolist())
+
+    for step, buy, offset, shares, lifetime in chain.from_iterable(windows()):
+        if due < step or snap_at < step:
+            catch_up(step - 1)
         limit = act(book, buy, offset, step, last_price)
         next_order_id += 1
-        fills, _ = book.submit(Order(next_order_id, BUY if buy else SELL,
-                                     limit, shares, step, step + lifetime))
+        expires = step + lifetime
+        fills, rested = book.submit(Order(next_order_id, BUY if buy else SELL,
+                                          limit, shares, step, expires))
+        if expires < due and rested is not None:
+            due = expires
         if fills:
-            for tick, n, _ in fills:
-                tape.extend((step, tick, n, buy))
+            for tick, n, resting_id in fills:
+                tape.extend((step, tick, n, buy, next_order_id, resting_id))
             last_price = fills[-1][0] * tick_size
-    settle(current)
-    while (quiet := min(due, snap_at)) <= horizon:
-        settle(quiet)
+    catch_up(horizon)
 
-    trade_tape = np.empty(len(tape) // 4, dtype=TAPE_DTYPE)
-    for name, column in zip(TAPE_DTYPE.names, np.reshape(tape, (-1, 4)).T):
+    fills = np.reshape(tape, (-1, 6)).T
+    trade_tape = np.empty(fills.shape[1], dtype=TAPE_DTYPE)
+    for name, column in zip(TAPE_DTYPE.names, fills):
         trade_tape[name] = column
-    marks = np.frombuffer(mark_steps, dtype=np.int64)
-    gaps = np.diff(marks, append=never)
-    prices = np.concatenate(([config.start_price],
-                             trade_tape["tick"] * tick_size))
-    last_fill = np.searchsorted(trade_tape["step"], marks, side="right")
-    post_trades = int(np.count_nonzero(trade_tape["step"] > warmup))
+    fill_steps, fill_ticks, fill_shares, _, aggressors, resting = fills
+    ends = np.concatenate(ends)
+    np.add.at(volumes, fill_steps, -2 * fill_shares)
+    for ids in aggressors, resting:
+        np.add.at(volumes, ends[ids - 1], fill_shares)
+    np.cumsum(volumes, out=volumes)
+    post_trades = int(np.count_nonzero(fill_steps > warmup))
     minutes = (horizon - warmup) / config.steps_per_minute
     return SimOutput(
         config=config,
         trade_tape=trade_tape,
-        price_series=np.repeat(prices[last_fill], gaps)[1:],
-        resting_volume_series=np.repeat(
-            np.frombuffer(mark_volumes, dtype=np.int64), gaps)[1:],
+        price_series=np.repeat(
+            np.concatenate(([config.start_price], fill_ticks * tick_size)),
+            np.diff(fill_steps, prepend=1, append=never)),
+        resting_volume_series=volumes[1:never],
         depth=Depth.concat(snapshots, tick_size),
         trades_per_minute=post_trades / minutes,
         n_submitted=next_order_id,

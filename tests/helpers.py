@@ -17,9 +17,11 @@ def make_stream(
     sigma_ticks: float = 6.0,
     size_mean: float = 8.0,
     lifetime_mean: float = 60.0,
+    steps_apart: int = 1,
 ):
-    """Random order stream as (step, id, side, limit, shares, expires)."""
-    steps = 1 + np.arange(n_orders) // orders_per_step
+    """Random order stream as (step, id, side, limit, shares, expires);
+    ``orders_per_step`` orders every ``steps_apart`` steps from step 1."""
+    steps = 1 + steps_apart * (np.arange(n_orders) // orders_per_step)
     buys = rng.random(n_orders) < 0.5
     limits = np.maximum(
         1, center_tick + np.rint(rng.normal(0.0, sigma_ticks, n_orders)).astype(int)

@@ -1,5 +1,6 @@
 """Matching engine, expiry, depth snapshots and the flat-list oracle."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -217,6 +218,42 @@ def test_best_ask_advances_after_level_cleared():
     assert book.best_ask() == 1006
 
 
+def test_far_apart_ticks_cost_no_memory_per_tick():
+    """Ticks 1 and 10**12 on each side in turn: best prices, snapshot
+    order and a sweep across both are right, and the book allocates
+    nothing in proportion to the tick."""
+    far = 10**12
+    tracemalloc.start()
+    try:
+        book = OrderBook()
+        book.submit(limit(1, Side.BUY, 1, 3))
+        book.submit(limit(2, Side.BUY, far, 4))
+        assert (book.best_bid(), book.best_ask()) == (far, None)
+        snap = book.snapshot(1)
+        assert snap.bid_ticks.tolist() == [far, 1]
+        assert snap.bid_shares.tolist() == [4, 3]
+        fills, rested = book.submit(limit(3, Side.SELL, 1, 9))
+        assert fills == [(far, 4, 2), (1, 3, 1)] and rested == 3
+        assert (book.best_bid(), book.best_ask()) == (None, 1)
+
+        book.submit(limit(4, Side.SELL, far, 5))
+        assert book.best_ask() == 1
+        snap = book.snapshot(2)
+        assert snap.ask_ticks.tolist() == [1, far]
+        assert snap.ask_shares.tolist() == [2, 5]
+        fills, rested = book.submit(limit(5, Side.BUY, far, 6))
+        assert fills == [(1, 2, 3), (far, 4, 4)] and rested is None
+        assert (book.best_bid(), book.best_ask()) == (None, far)
+        assert book.snapshot(3).ask_shares.tolist() == [1]
+        assert book.expire(10**9) == [4]
+        assert (book.best_bid(), book.best_ask()) == (None, None)
+        check_book_invariants(book)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 # ----------------------------------------------------------------------
 # impact shift of a live book
 # ----------------------------------------------------------------------
@@ -334,7 +371,11 @@ def test_depth_concat_rejects_mixed_tick_sizes():
 # ----------------------------------------------------------------------
 
 
-def _run_both(stream):
+def _run_both(stream, lazy=False):
+    """The book and the reference matcher on one stream. The reference
+    expires at every step; the book does too, or, when ``lazy``, only
+    through the step before a submission at a later step, and once at
+    the end, as the run loop does."""
     book = OrderBook()
     ref = ReferenceMatcher()
     tape = []
@@ -344,8 +385,11 @@ def _run_both(stream):
     step_now = 1
     last_step = max(s for s, *_ in stream)
     for step, oid, side, tick, shares, expires in stream:
+        if lazy and step_now < step:
+            expired += book.expire(step - 1)
         while step_now < step:
-            expired += book.expire(step_now)
+            if not lazy:
+                expired += book.expire(step_now)
             ref_expired += ref.expire(step_now)
             step_now += 1
         fills, _ = book.submit(Order(oid, side, tick, shares, step, expires))
@@ -354,19 +398,32 @@ def _run_both(stream):
                  for fill_tick, n, resting_id in fills]
         ref_trades, _ = ref.submit(oid, side.value, tick, shares, step, expires)
         ref_tape += ref_trades
+    if lazy:
+        expired += book.expire(last_step)
     for step in range(step_now, last_step + 1):
-        expired += book.expire(step)
+        if not lazy:
+            expired += book.expire(step)
         ref_expired += ref.expire(step)
     return book, ref, tape, ref_tape, sorted(expired), sorted(ref_expired)
 
 
-def test_oracle_equivalence_long_stream(rng):
-    stream = make_stream(rng, 10_000, lifetime_mean=40.0)
-    book, ref, tape, ref_tape, expired, ref_expired = _run_both(stream)
+def assert_same_outcome(stream, lazy=False):
+    book, ref, tape, ref_tape, expired, ref_expired = _run_both(stream, lazy)
     assert tape == ref_tape
     assert expired == ref_expired
     assert book.open_order_ids() == ref.open_ids()
     assert book.resting_shares() == ref.resting_shares()
+
+
+def test_oracle_equivalence_long_stream(rng):
+    assert_same_outcome(make_stream(rng, 10_000, lifetime_mean=40.0))
+
+
+def test_lazy_expiry_matches_oracle_long_stream(rng):
+    # submissions every third step, so most orders expire between them
+    stream = make_stream(rng, 10_000, lifetime_mean=40.0, steps_apart=3)
+    assert sum(expires % 3 != 1 for *_, expires in stream) > 6000
+    assert_same_outcome(stream, lazy=True)
 
 
 @st.composite
@@ -389,8 +446,9 @@ def check_book_invariants(book, expired_through=None):
 
     Per side: every level's shares sum its queue and the levels sum to
     the side total; the order count matches the queues and no queue is
-    empty; every occupied tick is in the heap and ``best()`` is the max
-    bid or min ask. Then: the book is not crossed, the order index holds
+    empty; ``ticks`` is strictly ascending and holds exactly the occupied
+    ticks, and ``best`` is its first ask or last bid (None when it is
+    empty). Then: the book is not crossed, the order index holds
     exactly the queued orders, each with its expiry heap entry, and
     (with ``expired_through``) none of them is due by that step.
     """
@@ -404,9 +462,11 @@ def check_book_invariants(book, expired_through=None):
             queued.update((o.id, o) for o in queue)
         assert sum(side.level_shares.values()) == side.total_shares
         assert side.order_count == sum(map(len, side.levels.values()))
-        assert {side.sign * t for t in side.levels} <= set(side.heap)
-        best = min if side.sign > 0 else max
-        assert side.best() == (best(side.levels) if side.levels else None)
+        ticks = side.ticks
+        assert all(a < b for a, b in zip(ticks, ticks[1:]))
+        assert set(ticks) == side.levels.keys()
+        best = ticks[0 if side.sign > 0 else -1] if ticks else None
+        assert side.best == best
     bid, ask = book.best_bid(), book.best_ask()
     assert bid is None or ask is None or bid < ask
     assert book._orders == queued  # same Order objects (identity equality)
@@ -495,6 +555,10 @@ def test_next_expiry_contract(stream, data):
 @settings(max_examples=60, deadline=None)
 @given(small_streams())
 def test_oracle_equivalence_property(stream):
-    _, _, tape, ref_tape, expired, ref_expired = _run_both(stream)
-    assert tape == ref_tape
-    assert expired == ref_expired
+    assert_same_outcome(stream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_streams())
+def test_lazy_expiry_matches_oracle_property(stream):
+    assert_same_outcome(stream, lazy=True)

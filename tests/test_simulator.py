@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lobsim.agents import TraderSpec, activations
+from lobsim.agents import TraderKind, TraderSpec, activations
 from lobsim.experiments import post_warmup_prices
 from lobsim.orderbook import Depth, OrderBook
 from lobsim.simulator import (
@@ -100,15 +100,22 @@ def test_engine_calls_match_the_output(monkeypatch):
     """The calls a tracer wraps add up to the run's output: one ``act``
     per order at the order's step, never decreasing, the fills of
     ``submit`` make the tape, ``expire`` removes ``n_expired`` orders
-    and each ``snapshot`` is one row of ``depth``."""
+    and each ``snapshot`` is one row of ``depth``. Expiry is lazy: at
+    most one ``expire`` per activation step, per snapshot and at the
+    end, and none through a step that a submission has passed."""
     import lobsim.simulator as simulator
 
     calls = {name: [] for name in ("act", "submit", "expire", "snapshot")}
+    sequence = []  # (name, step) of every submit and expire, in call order
 
     def recording(name, fn):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
             calls[name].append((args, result))
+            if name == "submit":
+                sequence.append((name, args[1].placed_step))
+            elif name == "expire":
+                sequence.append((name, args[1]))
             return result
         return wrapper
 
@@ -129,27 +136,28 @@ def test_engine_calls_match_the_output(monkeypatch):
         out.trade_tape)
     assert sum(len(ids) for _, ids in calls["expire"]) == out.n_expired
     assert len(calls["snapshot"]) == len(out.depth) > 100
+    n_expire = len(calls["expire"])
+    assert 100 < n_expire <= len(set(act_steps)) + len(out.depth) + 1
+    submitted_through = 0
+    for name, step in sequence:
+        if name == "submit":
+            submitted_through = step
+        else:
+            assert step >= submitted_through
 
 
-def test_series_match_tape_and_depth_at_every_step():
-    """Idle steps repeat the last mark: the series of a run without
-    snapshots equal, step by step, the tape's last fill carried forward
-    and the share totals of a snapshot taken at every step."""
-    sparse = SimConfig(trader_specs=(TraderSpec(count=3, mu_lifetime=60.0),),
-                       c=40.0, horizon_T=4000, warmup=0, seed=5)
-    out = run(sparse)
-    dense = run(replace(sparse, snapshot_interval=1))
+def assert_series_match_tape_and_depth(cfg):
+    """The series of a run of ``cfg`` equal, step by step, the tape's last
+    fill carried forward and the share totals of a snapshot taken at
+    every step by a rerun; returns the run."""
+    out = run(cfg)
+    dense = run(replace(cfg, snapshot_interval=1))
     assert np.array_equal(dense.trade_tape, out.trade_tape)
-    # idle gaps before the first order, between events and after the last
-    assert out.resting_volume_series[0] == 0
-    assert out.n_submitted + out.n_expired < sparse.horizon_T // 10
-    assert out.resting_volume_series[-2] == out.resting_volume_series[-1]
-
-    steps = np.arange(1, sparse.horizon_T + 1)
+    steps = np.arange(1, cfg.horizon_T + 1)
     tape = out.trade_tape
     last = np.searchsorted(tape["step"], steps, side="right") - 1
-    carried = np.where(last >= 0, tape["tick"][last] * sparse.tick_size,
-                       sparse.start_price)
+    carried = np.where(last >= 0, tape["tick"][last] * cfg.tick_size,
+                       cfg.start_price)
     assert np.array_equal(out.price_series, carried)
 
     depth = dense.depth
@@ -161,6 +169,58 @@ def test_series_match_tape_and_depth_at_every_step():
                                         (depth.ask_counts, depth.ask_shares)))
     assert np.array_equal(out.resting_volume_series, totals)
     assert np.array_equal(dense.resting_volume_series, totals)
+    return out
+
+
+def test_series_match_tape_and_depth_at_every_step():
+    """A sparse book whose steps are mostly idle: the series still match
+    the tape and the depth at every step."""
+    sparse = SimConfig(trader_specs=(TraderSpec(count=3, mu_lifetime=60.0),),
+                       c=40.0, horizon_T=4000, warmup=0, seed=5)
+    out = assert_series_match_tape_and_depth(sparse)
+    # idle gaps before the first order, between events and after the last
+    assert out.resting_volume_series[0] == 0
+    assert out.n_submitted + out.n_expired < sparse.horizon_T // 10
+    assert out.resting_volume_series[-2] == out.resting_volume_series[-1]
+
+
+def test_series_on_a_crossing_book(monkeypatch):
+    """BigTraders sweep a book of short-lived orders, and the series match
+    the tape and the depth at every step. The fixture has orders that
+    were partly filled while resting and then expired, and resting
+    orders that expire at the horizon and one step after it."""
+    import lobsim.simulator as simulator
+
+    cfg = SimConfig(trader_specs=(TraderSpec(count=40, mu_lifetime=60.0),
+                                  TraderSpec(kind=TraderKind.BIG, count=10,
+                                             kappa=5.0, mu_lifetime=60.0)),
+                    c=0.5, horizon_T=6000, warmup=0, seed=22)
+    rested = {}  # id -> (order, its shares when it came to rest)
+    expired = set()
+
+    class WatchedBook(OrderBook):
+        def submit(self, order):
+            fills, rested_id = super().submit(order)
+            if rested_id is not None:
+                rested[rested_id] = (order, order.shares)
+            return fills, rested_id
+
+        def expire(self, step):
+            ids = super().expire(step)
+            expired.update(ids)
+            return ids
+
+    monkeypatch.setattr(simulator, "OrderBook", WatchedBook)
+    out = run(cfg)
+    monkeypatch.undo()
+    assert len(expired) == out.n_expired
+    # an order's shares stay as they were when it left the book
+    partly = [i for i in expired if 0 < rested[i][0].shares < rested[i][1]]
+    assert len(partly) > 100
+    ends = {order.expires_step for i, (order, _) in rested.items()
+            if i in expired or order.shares > 0}
+    assert {cfg.horizon_T, cfg.horizon_T + 1} <= ends
+    assert_series_match_tape_and_depth(cfg)
 
 
 def test_different_seeds_differ():
