@@ -14,7 +14,6 @@ from .agents import TraderKind, TraderSpec
 from .impact import ImpactCurve, curve_distance, impact_distribution, quantile_volumes
 from .orderbook import (
     Depth,
-    Order,
     OrderBook,
     OrderRejected,
     Side,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Depth",
     "ImpactCurve",
-    "Order",
     "OrderBook",
     "OrderRejected",
     "Scenario",

@@ -5,8 +5,9 @@ matching logic runs on integers so no floating point enters the book.
 Each occupied level holds a FIFO queue of resting orders, giving
 price-time priority: better price first, earlier order id within a
 level. Each side keeps its occupied ticks in one ascending list and its
-best tick as an attribute; expiry uses a lazy heap over
-(expires_step, order_id).
+best tick as an attribute. A resting order is one plain list, held by
+its level's queue and by the expiry heap, where it is its own entry,
+ordered by (expires, id); a filled order leaves the heap lazily.
 
 Supports crossing limit orders (fills execute at the resting order's
 tick, remainder rests), expiry and per-level depth snapshots
@@ -17,17 +18,18 @@ side's worst tick acts as a market order that rests what it cannot fill.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from heapq import heappop, heappush
+from itertools import chain
+from operator import index
 
 import numpy as np
 
 __all__ = [
     "Side",
-    "Order",
     "Depth",
     "OrderBook",
     "OrderRejected",
@@ -44,18 +46,6 @@ BUY, SELL = Side.BUY, Side.SELL  # hot paths: a global beats Side.BUY
 
 class OrderRejected(ValueError):
     """Order failed admission checks (bad id, shares or limit)."""
-
-
-@dataclass(slots=True, eq=False)
-class Order:
-    """A limit order; ``shares`` is the remaining size while resting."""
-
-    id: int
-    side: Side
-    limit: int
-    shares: int
-    placed_step: int
-    expires_step: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,35 +91,21 @@ class _BookSide:
     ``ticks`` in ascending order and the ``best`` of them (None if none)."""
 
     sign: int  # +1 asks (best = lowest), -1 bids (best = highest)
-    levels: dict[int, deque[Order]] = field(default_factory=dict)
+    levels: dict[int, deque[list]] = field(default_factory=dict)
     level_shares: dict[int, int] = field(default_factory=dict)
     ticks: list[int] = field(default_factory=list)
     best: int | None = None
-    total_shares: int = 0
-    order_count: int = 0
-
-    def add(self, order: Order) -> None:
-        tick = order.limit
-        queue = self.levels.get(tick)
-        if queue is None:
-            self.levels[tick] = deque((order,))
-            self.level_shares[tick] = order.shares
-            ticks = self.ticks
-            insort(ticks, tick)
-            self.best = ticks[0 if self.sign > 0 else -1]
-        else:
-            queue.append(order)
-            self.level_shares[tick] += order.shares
-        self.total_shares += order.shares
-        self.order_count += 1
 
 
 class OrderBook:
     """Double-auction book with price-time priority matching.
 
     Order ids must be strictly increasing across submissions; they double
-    as the time component of price-time priority. The book owns resting
-    orders and mutates their remaining ``shares`` as fills occur.
+    as the time component of price-time priority. A resting order is one
+    list ``[expires, id, shares, tick, side]``, held by its level's queue
+    and, as its own entry, by the expiry heap; ``shares`` is what is left
+    of it, and 0 once it is filled, which leaves its queue at once and
+    the heap lazily.
     """
 
     def __init__(self, tick_size: float = 0.1):
@@ -138,8 +114,7 @@ class OrderBook:
         self.tick_size = tick_size
         self._bids = _BookSide(sign=-1)
         self._asks = _BookSide(sign=+1)
-        self._orders: dict[int, Order] = {}
-        self._expiry_heap: list[tuple[int, int]] = []
+        self._expiry_heap: list[list] = []
         self._last_id = 0
 
     # ------------------------------------------------------------------
@@ -152,67 +127,92 @@ class OrderBook:
     def best_ask(self) -> int | None:
         return self._asks.best
 
+    def _queues(self):
+        return chain(self._bids.levels.values(), self._asks.levels.values())
+
     def resting_shares(self) -> int:
-        return self._bids.total_shares + self._asks.total_shares
+        return (sum(self._bids.level_shares.values())
+                + sum(self._asks.level_shares.values()))
 
     def resting_orders(self) -> int:
-        return self._bids.order_count + self._asks.order_count
+        return sum(map(len, self._queues()))
 
     def open_order_ids(self) -> set[int]:
-        return set(self._orders)
+        return {order[1] for queue in self._queues() for order in queue}
 
     # ------------------------------------------------------------------
     # order entry
     # ------------------------------------------------------------------
 
-    def submit(self, order: Order) -> tuple[list, int | None]:
+    def submit(self, order_id: int, side: Side, limit: int, shares: int,
+               step: int, expires: int) -> tuple[list, int | None]:
         """Match a limit order, resting any non-crossing remainder.
 
         Fills walk the opposite side best-first while its price satisfies
         the limit, executing at the resting order's tick. Returns the
-        fills and the order id if a remainder rested, else None. A side
-        given by its value ("buy" or "sell") is cast to ``Side``.
+        fills and the order id if a remainder rested, else None. The id,
+        limit and shares must be integers (numpy ones are cast); a side
+        given by its value ("buy" or "sell") is cast to ``Side``. The
+        order rests until ``expires``, which may not precede ``step``.
         """
-        if order.id <= self._last_id:
-            raise OrderRejected(f"order id {order.id} not strictly increasing")
-        if order.shares < 1:
+        try:
+            order_id, limit, shares = index(order_id), index(limit), index(shares)
+        except TypeError:
+            for name, value in (("id", order_id), ("limit", limit),
+                                ("shares", shares)):
+                try:
+                    index(value)
+                except TypeError:
+                    raise OrderRejected(f"order {name} must be an integer, "
+                                        f"got {value!r}") from None
+        if order_id <= self._last_id:
+            raise OrderRejected(f"order id {order_id} not strictly increasing")
+        if shares < 1:
             raise OrderRejected("order shares must be >= 1")
-        if order.limit < 1:
+        if limit < 1:
             raise OrderRejected("order limit must be a valid tick (>= 1)")
-        if order.expires_step < order.placed_step:
+        if expires < step:
             raise OrderRejected("order expires before placement")
-        if order.side is not BUY and order.side is not SELL:
-            order.side = Side(order.side)  # "buy" or "sell"; else ValueError
-        self._last_id = order.id
+        if side is not BUY and side is not SELL:
+            side = Side(side)  # "buy" or "sell"; else ValueError
+        self._last_id = order_id
 
-        if order.side is BUY:
+        if side is BUY:
             own, other = self._bids, self._asks
         else:
             own, other = self._asks, self._bids
         best = other.best
-        if best is not None and other.sign * (best - order.limit) <= 0:
-            fills, order.shares = self._match(order.shares, other, order.limit)
-            if order.shares == 0:
+        if best is not None and other.sign * (best - limit) <= 0:
+            fills, shares = self._match(shares, other, limit)
+            if shares == 0:
                 return fills, None
         else:
             fills = []
 
-        own.add(order)
-        self._orders[order.id] = order
-        heapq.heappush(self._expiry_heap, (order.expires_step, order.id))
-        return fills, order.id
+        order = [expires, order_id, shares, limit, side]
+        queue = own.levels.get(limit)
+        if queue is None:
+            own.levels[limit] = deque((order,))
+            own.level_shares[limit] = shares
+            ticks = own.ticks
+            insort(ticks, limit)
+            own.best = ticks[0 if own.sign > 0 else -1]
+        else:
+            queue.append(order)
+            own.level_shares[limit] += shares
+        heappush(self._expiry_heap, order)  # ordered by (expires, id)
+        return fills, order_id
 
     def _match(self, shares: int, book_side: _BookSide,
                limit: int) -> tuple[list, int]:
         """Fill ``shares`` against ``book_side`` best-first.
 
-        Levels are consumed while they cross ``limit``. Level and side
-        totals are updated once per level; a fully consumed level is the
-        best, so its tick is the end of ``ticks`` nearest the spread.
-        Returns the fills and the shares left unfilled.
+        Levels are consumed while they cross ``limit``. Level totals are
+        updated once per level; a fully consumed level is the best, so
+        its tick is the end of ``ticks`` nearest the spread. Returns the
+        fills and the shares left unfilled.
         """
         fills: list[tuple[int, int, int]] = []
-        orders = self._orders
         levels = book_side.levels
         level_shares = book_side.level_shares
         ticks = book_side.ticks
@@ -228,19 +228,14 @@ class OrderBook:
             level_fill = 0
             while queue and remaining > 0:
                 resting = queue[0]
-                left = resting.shares
+                left = resting[2]
                 fill = remaining if remaining < left else left
-                fills.append((best, fill, resting.id))
+                fills.append((best, fill, resting[1]))
                 remaining -= fill
                 level_fill += fill
+                resting[2] = left - fill
                 if fill == left:
-                    resting.shares = 0
                     queue.popleft()
-                    book_side.order_count -= 1
-                    del orders[resting.id]
-                else:
-                    resting.shares = left - fill
-            book_side.total_shares -= level_fill
             if queue:
                 level_shares[best] -= level_fill
             else:
@@ -256,34 +251,30 @@ class OrderBook:
     # ------------------------------------------------------------------
 
     def next_expiry(self) -> int | None:
-        """The earliest ``expires_step`` of a resting order, None on an
-        empty book: ``expire`` at an earlier step removes nothing."""
-        heap, orders = self._expiry_heap, self._orders
-        while heap and heap[0][1] not in orders:
-            heapq.heappop(heap)  # its order was filled
+        """The earliest expiry of a resting order, None on an empty book:
+        ``expire`` at an earlier step removes nothing."""
+        heap = self._expiry_heap
+        while heap and heap[0][2] == 0:
+            heappop(heap)  # a filled order
         return heap[0][0] if heap else None
 
     def expire(self, step: int) -> list[int]:
-        """Remove every resting order with expires_step <= step and return
-        their ids. The run calls it lazily: before a step's first
-        submission, through the step before, when an order is due by then,
-        and at snapshots and the end of the horizon."""
+        """Remove every resting order that expires at or before ``step``
+        and return their ids. The run calls it lazily: before a step's
+        first submission, through the step before, when an order is due
+        by then, and at snapshots and the end of the horizon."""
         removed: list[int] = []
         heap = self._expiry_heap
-        orders = self._orders
         while heap and heap[0][0] <= step:
-            _, order_id = heapq.heappop(heap)
-            order = orders.pop(order_id, None)
-            if order is None:
+            order = heappop(heap)
+            _, order_id, shares, tick, _ = order
+            if shares == 0:
                 continue  # already fully filled
-            side = self._bids if order.side is BUY else self._asks
-            tick = order.limit
+            side = self._bids if order[4] is BUY else self._asks
             queue = side.levels[tick]
             queue.remove(order)
-            side.total_shares -= order.shares
-            side.order_count -= 1
             if queue:
-                side.level_shares[tick] -= order.shares
+                side.level_shares[tick] -= shares
             else:
                 del side.levels[tick], side.level_shares[tick]
                 ticks = side.ticks

@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .agents import TraderSpec, act, activations, cast_fields
-from .orderbook import BUY, SELL, Depth, Order, OrderBook
+from .orderbook import BUY, SELL, Depth, OrderBook
 
 __all__ = [
     "SimConfig",
@@ -183,8 +183,8 @@ def run(config: SimConfig) -> SimOutput:
         limit = act(book, buy, offset, step, last_price)
         next_order_id += 1
         expires = step + lifetime
-        fills, rested = book.submit(Order(next_order_id, BUY if buy else SELL,
-                                          limit, shares, step, expires))
+        fills, rested = book.submit(next_order_id, BUY if buy else SELL,
+                                    limit, shares, step, expires)
         if expires < due and rested is not None:
             due = expires
         if fills:

@@ -6,7 +6,7 @@ from itertools import islice
 
 import numpy as np
 
-from lobsim.orderbook import Depth, Order, OrderBook, Side
+from lobsim.orderbook import Depth, OrderBook, Side
 
 
 def make_stream(
@@ -72,7 +72,7 @@ def build_random_book(
             side = Side.SELL
             limit = center_tick + 1 + int(abs(rng.normal(0.0, sigma_ticks)))
         shares = max(1, int(round(rng.exponential(size_mean))))
-        book.submit(Order(next_id, side, max(1, limit), shares, 0, 10**9))
+        book.submit(next_id, side, max(1, limit), shares, 0, 10**9)
         next_id += 1
     return book
 
@@ -85,7 +85,7 @@ def rebuild_book(snap: Depth) -> OrderBook:
     levels += [(Side.SELL, t, n) for t, n in zip(snap.ask_ticks.tolist(),
                                                  snap.ask_shares.tolist())]
     for oid, (side, tick, shares) in enumerate(levels, start=1):
-        book.submit(Order(oid, side, tick, shares, 0, 10**9))
+        book.submit(oid, side, tick, shares, 0, 10**9)
     return book
 
 
@@ -97,7 +97,7 @@ def sweep(book: OrderBook, side: Side, shares: int):
     far = snap.ask_ticks if side is Side.BUY else snap.bid_ticks
     if far.size == 0:
         return [], None
-    return book.submit(Order(10**9, side, int(far[-1]), shares, 0, 10**9))
+    return book.submit(10**9, side, int(far[-1]), shares, 0, 10**9)
 
 
 def pooled(snapshots, tick_size: float = 0.1) -> Depth:

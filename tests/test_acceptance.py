@@ -26,7 +26,7 @@ from lobsim.experiments import (
 )
 from lobsim.impact import (add_counts, curve_distance, impact_distribution,
                            quantile_volumes)
-from lobsim.orderbook import Depth, Order, OrderBook, Side
+from lobsim.orderbook import Depth, OrderBook, Side
 from lobsim.simulator import SimConfig, calibrate_c, derive_seed, run
 
 from .helpers import build_random_book, make_stream
@@ -161,11 +161,12 @@ def _oracle_stream(stream_seed: int) -> tuple[bool, int]:
             book.expire(step_now)
             ref.expire(step_now)
             step_now += 1
-        fills = book.submit(Order(oid, side, tick, shares, step, expires))[0]
+        order = (oid, side.value, tick, shares, step, expires)
+        fills = book.submit(*order)[0]
         # the reference's tuple: the fill plus the submitted order
         tape += [(step, fill_tick, n, oid, resting_id, side.value)
                  for fill_tick, n, resting_id in fills]
-        ref_tape += ref.submit(oid, side.value, tick, shares, step, expires)[0]
+        ref_tape += ref.submit(*order)[0]
     for step in range(step_now, last_step + 1):
         expired = sorted(book.expire(step))
         if expired != ref.expire(step):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lobsim.agents as agents
 from lobsim.agents import TraderKind, TraderSpec, act, activations
-from lobsim.orderbook import Order, OrderBook, Side
+from lobsim.orderbook import OrderBook, Side
 from lobsim.simulator import SimConfig
 
 from .helpers import discrete_ks, trader_gaps
@@ -30,8 +30,8 @@ def _columns(rng, **config) -> dict[str, np.ndarray]:
 
 def _two_sided_book() -> OrderBook:
     book = OrderBook(tick_size=0.1)
-    book.submit(Order(1, Side.BUY, 998, 5, 0, 10**9))
-    book.submit(Order(2, Side.SELL, 1002, 5, 0, 10**9))
+    book.submit(1, Side.BUY, 998, 5, 0, 10**9)
+    book.submit(2, Side.SELL, 1002, 5, 0, 10**9)
     return book
 
 
@@ -303,7 +303,7 @@ def test_degenerate_sigma_returns_centering_tick():
 @given(st.integers(min_value=1, max_value=10**7))
 def test_tick_price_round_trip(tick):
     book = OrderBook(tick_size=0.1)
-    book.submit(Order(1, Side.BUY, tick, 1, 0, 10**9))
+    book.submit(1, Side.BUY, tick, 1, 0, 10**9)
     assert act(book, True, 0.0, 1, 100.0) == tick
 
 
@@ -319,7 +319,7 @@ def test_empty_book_centers_on_fallback(rng):
     limits = _limits(book, _columns(rng, c=0.5, horizon=5_000))
     assert abs(limits.mean() - 1000.0) < 0.5
     # only the empty side falls back: bids only, a sell centers on 100.0
-    book.submit(Order(1, Side.BUY, 990, 5, 0, 10**9))
+    book.submit(1, Side.BUY, 990, 5, 0, 10**9)
     assert act(book, False, 0.0, 1, 100.0) == 1000
     assert act(book, True, 0.0, 1, 100.0) == 990
 

@@ -11,7 +11,7 @@ from lobsim.impact import (
     impact_distribution,
     quantile_volumes,
 )
-from lobsim.orderbook import Order, OrderBook, Side
+from lobsim.orderbook import OrderBook, Side
 
 from .helpers import build_random_book, pooled, rebuild_book, sweep
 
@@ -82,8 +82,8 @@ def test_quantiles_from_counts_match_the_expanded_tape(counts, qs):
 
 def test_string_side_walks_its_side():
     book = OrderBook()
-    book.submit(Order(1, Side.SELL, 1010, 5, 0, 10**9))
-    book.submit(Order(2, Side.SELL, 1020, 5, 0, 10**9))
+    book.submit(1, Side.SELL, 1010, 5, 0, 10**9)
+    book.submit(2, Side.SELL, 1020, 5, 0, 10**9)
     snap = book.snapshot(0)
     for side in ("buy", Side.BUY):
         curve = impact_distribution(snap, side, 7)

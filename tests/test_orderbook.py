@@ -5,17 +5,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobsim.impact import impact_distribution
-from lobsim.orderbook import (
-    Depth,
-    Order,
-    OrderBook,
-    OrderRejected,
-    Side,
-)
+from lobsim.orderbook import Depth, OrderBook, OrderRejected, Side
 
 from .helpers import (build_random_book, depth_rows, make_stream,
                       rebuild_book, sweep)
@@ -23,7 +17,8 @@ from .reference_matcher import ReferenceMatcher
 
 
 def limit(oid, side, tick, shares, step=0, expires=10**9):
-    return Order(oid, side, tick, shares, step, expires)
+    """``submit``'s arguments for a limit order."""
+    return oid, side, tick, shares, step, expires
 
 
 # ----------------------------------------------------------------------
@@ -33,7 +28,7 @@ def limit(oid, side, tick, shares, step=0, expires=10**9):
 
 def test_submit_into_empty_book_rests():
     book = OrderBook()
-    fills, rested = book.submit(limit(1, Side.BUY, 1005, 10))
+    fills, rested = book.submit(*limit(1, Side.BUY, 1005, 10))
     assert fills == []
     assert rested == 1
     assert book.best_bid() == 1005
@@ -42,8 +37,8 @@ def test_submit_into_empty_book_rests():
 
 def test_crossing_buy_fills_at_resting_price():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 7))
-    fills, rested = book.submit(limit(2, Side.BUY, 1010, 5))
+    book.submit(*limit(1, Side.SELL, 1003, 7))
+    fills, rested = book.submit(*limit(2, Side.BUY, 1010, 5))
     assert rested is None
     assert fills == [(1003, 5, 1)]  # (tick, shares, resting id)
     snap = book.snapshot(step=1)  # remainder of the resting order
@@ -52,8 +47,8 @@ def test_crossing_buy_fills_at_resting_price():
 
 def test_crossing_remainder_rests_at_own_limit():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 4))
-    fills, rested = book.submit(limit(2, Side.BUY, 1005, 10))
+    book.submit(*limit(1, Side.SELL, 1003, 4))
+    fills, rested = book.submit(*limit(2, Side.BUY, 1005, 10))
     assert fills == [(1003, 4, 1)]
     assert rested == 2
     assert book.best_bid() == 1005
@@ -62,62 +57,92 @@ def test_crossing_remainder_rests_at_own_limit():
 
 def test_price_time_priority_same_tick():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5))
-    book.submit(limit(2, Side.SELL, 1003, 5))
-    fills, _ = book.submit(limit(3, Side.BUY, 1003, 6))
+    book.submit(*limit(1, Side.SELL, 1003, 5))
+    book.submit(*limit(2, Side.SELL, 1003, 5))
+    fills, _ = book.submit(*limit(3, Side.BUY, 1003, 6))
     assert fills == [(1003, 5, 1), (1003, 1, 2)]
 
 
 def test_buy_walks_ascending_ticks():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1005, 3))
-    book.submit(limit(2, Side.SELL, 1003, 3))
-    book.submit(limit(3, Side.SELL, 1004, 3))
-    fills, _ = book.submit(limit(4, Side.BUY, 1005, 9))
+    book.submit(*limit(1, Side.SELL, 1005, 3))
+    book.submit(*limit(2, Side.SELL, 1003, 3))
+    book.submit(*limit(3, Side.SELL, 1004, 3))
+    fills, _ = book.submit(*limit(4, Side.BUY, 1005, 9))
     assert [tick for tick, _, _ in fills] == [1003, 1004, 1005]
 
 
 def test_duplicate_or_nonincreasing_id_rejected():
     book = OrderBook()
-    book.submit(limit(5, Side.BUY, 1000, 1))
+    book.submit(*limit(5, Side.BUY, 1000, 1))
     with pytest.raises(OrderRejected):
-        book.submit(limit(5, Side.SELL, 1001, 1))
+        book.submit(*limit(5, Side.SELL, 1001, 1))
     with pytest.raises(OrderRejected):
-        book.submit(limit(3, Side.SELL, 1001, 1))
+        book.submit(*limit(3, Side.SELL, 1001, 1))
 
 
 def test_zero_shares_rejected():
     book = OrderBook()
     with pytest.raises(OrderRejected):
-        book.submit(limit(1, Side.BUY, 1000, 0))
+        book.submit(*limit(1, Side.BUY, 1000, 0))
 
 
 def test_bad_limit_rejected():
     book = OrderBook()
     with pytest.raises(OrderRejected):
-        book.submit(limit(1, Side.BUY, 0, 5))
+        book.submit(*limit(1, Side.BUY, 0, 5))
+
+
+@pytest.mark.parametrize("name, order", [
+    ("limit", (2, Side.BUY, 1005.5, 10)),
+    ("limit", (2, Side.BUY, np.float64(1005.0), 10)),
+    ("shares", (2, Side.BUY, 1005, 2.5)),
+    ("shares", (2, Side.BUY, 1005, "10")),
+    ("id", (2.0, Side.BUY, 1005, 10)),
+])
+def test_non_integer_fields_rejected(name, order):
+    """A fractional tick or share count would rest and then show
+    truncated in snapshots: it is refused, naming the field, and the
+    book and the next id are as before."""
+    book = OrderBook()
+    book.submit(*limit(1, Side.SELL, 1005, 3))  # a fractional buy would cross
+    with pytest.raises(OrderRejected, match=f"order {name} must be an integer"):
+        book.submit(*limit(*order))
+    assert (book.best_bid(), book.best_ask(), book.resting_shares()) == (
+        None, 1005, 3)
+    assert book.submit(*limit(2, Side.BUY, 1000, 1)) == ([], 2)
+
+
+def test_numpy_integer_fields_enter_as_python_ints():
+    book = OrderBook()
+    assert book.submit(np.int64(1), Side.SELL, np.int32(1005), np.int64(10),
+                       0, 10**9) == ([], 1)
+    fills, rested = book.submit(np.uint16(2), Side.BUY, np.int64(1006),
+                                np.uint8(4), 0, 10**9)
+    assert fills == [(1005, 4, 1)] and rested is None
+    values = [*fills[0], book.best_ask(), book.resting_shares(),
+              *book.open_order_ids()]
+    assert all(type(v) is int for v in values)
 
 
 def _asks_1010_1020() -> OrderBook:
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1010, 5))
-    book.submit(limit(2, Side.SELL, 1020, 5))
+    book.submit(*limit(1, Side.SELL, 1010, 5))
+    book.submit(*limit(2, Side.SELL, 1020, 5))
     return book
 
 
 def test_string_side_submit_is_read_as_its_side():
     book = _asks_1010_1020()
-    order = limit(3, "buy", 1015, 2)
-    fills, rested = book.submit(order)
+    fills, rested = book.submit(*limit(3, "buy", 1015, 2))
     assert fills == [(1010, 2, 1)] and rested is None
-    assert order.side is Side.BUY
-    fills, rested = book.submit(limit(4, "buy", 1005, 2))
+    fills, rested = book.submit(*limit(4, "buy", 1005, 2))
     assert fills == [] and rested == 4
     assert book.best_bid() == 1005
     book.expire(10**9)  # a cast side is also the side expiry removes from
     assert book.resting_orders() == 0
     with pytest.raises(ValueError, match="not a valid Side"):
-        book.submit(limit(5, "up", 1015, 2))
+        book.submit(*limit(5, "up", 1015, 2))
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +152,7 @@ def test_string_side_submit_is_read_as_its_side():
 
 def test_market_exact_fill():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1004, 5))
+    book.submit(*limit(1, Side.SELL, 1004, 5))
     fills, rested = sweep(book, Side.BUY, 5)
     assert rested is None
     assert fills == [(1004, 5, 1)]
@@ -157,7 +182,7 @@ def test_market_spanning_levels_matches_cumulative_supply(rng):
 
 def test_expire_single_order():
     book = OrderBook()
-    book.submit(limit(1, Side.BUY, 1000, 5, step=0, expires=7))
+    book.submit(*limit(1, Side.BUY, 1000, 5, step=0, expires=7))
     assert book.expire(6) == []
     assert book.expire(7) == [1]
     assert book.resting_shares() == 0
@@ -181,8 +206,8 @@ def test_expiry_conservation(rng):
             expired_ids += book.expire(step_now)
             step_now += 1
         sizes[oid] = shares
-        book_fills, rested = book.submit(
-            Order(oid, side, tick, shares, step, expires))
+        book_fills, rested = book.submit(oid, side, tick, shares, step,
+                                         expires)
         if rested is not None:
             rested_ids.add(rested)
         for _, n, resting_id in book_fills:
@@ -211,9 +236,9 @@ def test_empty_book_has_no_best_prices():
 
 def test_best_ask_advances_after_level_cleared():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5))
-    book.submit(limit(2, Side.SELL, 1006, 4))
-    fills, _ = book.submit(limit(3, Side.BUY, 1003, 5))
+    book.submit(*limit(1, Side.SELL, 1003, 5))
+    book.submit(*limit(2, Side.SELL, 1006, 4))
+    fills, _ = book.submit(*limit(3, Side.BUY, 1003, 5))
     assert len(fills) == 1
     assert book.best_ask() == 1006
 
@@ -226,22 +251,22 @@ def test_far_apart_ticks_cost_no_memory_per_tick():
     tracemalloc.start()
     try:
         book = OrderBook()
-        book.submit(limit(1, Side.BUY, 1, 3))
-        book.submit(limit(2, Side.BUY, far, 4))
+        book.submit(*limit(1, Side.BUY, 1, 3))
+        book.submit(*limit(2, Side.BUY, far, 4))
         assert (book.best_bid(), book.best_ask()) == (far, None)
         snap = book.snapshot(1)
         assert snap.bid_ticks.tolist() == [far, 1]
         assert snap.bid_shares.tolist() == [4, 3]
-        fills, rested = book.submit(limit(3, Side.SELL, 1, 9))
+        fills, rested = book.submit(*limit(3, Side.SELL, 1, 9))
         assert fills == [(far, 4, 2), (1, 3, 1)] and rested == 3
         assert (book.best_bid(), book.best_ask()) == (None, 1)
 
-        book.submit(limit(4, Side.SELL, far, 5))
+        book.submit(*limit(4, Side.SELL, far, 5))
         assert book.best_ask() == 1
         snap = book.snapshot(2)
         assert snap.ask_ticks.tolist() == [1, far]
         assert snap.ask_shares.tolist() == [2, 5]
-        fills, rested = book.submit(limit(5, Side.BUY, far, 6))
+        fills, rested = book.submit(*limit(5, Side.BUY, far, 6))
         assert fills == [(1, 2, 3), (far, 4, 4)] and rested is None
         assert (book.best_bid(), book.best_ask()) == (None, far)
         assert book.snapshot(3).ask_shares.tolist() == [1]
@@ -269,15 +294,15 @@ def impact_shift(book, side, volume, saturate=False):
 
 def test_impact_absorbed_at_best_is_zero():
     book = OrderBook()
-    book.submit(limit(1, Side.SELL, 1003, 5))
-    book.submit(limit(2, Side.SELL, 1010, 5))
+    book.submit(*limit(1, Side.SELL, 1003, 5))
+    book.submit(*limit(2, Side.SELL, 1010, 5))
     assert impact_shift(book, Side.BUY, 5) == 0.0
 
 
 def test_impact_full_depth_walk():
     book = OrderBook(tick_size=0.1)
-    book.submit(limit(1, Side.SELL, 1003, 5))
-    book.submit(limit(2, Side.SELL, 1010, 5))
+    book.submit(*limit(1, Side.SELL, 1003, 5))
+    book.submit(*limit(2, Side.SELL, 1010, 5))
     assert impact_shift(book, Side.BUY, 10) == pytest.approx(0.7)
     assert impact_shift(book, Side.BUY, 11) is None
     assert impact_shift(book, Side.BUY, 11, saturate=True) == pytest.approx(0.7)
@@ -392,12 +417,12 @@ def _run_both(stream, lazy=False):
                 expired += book.expire(step_now)
             ref_expired += ref.expire(step_now)
             step_now += 1
-        fills, _ = book.submit(Order(oid, side, tick, shares, step, expires))
+        order = (oid, side.value, tick, shares, step, expires)
+        fills, _ = book.submit(*order)
         # the reference's tuple: the fill plus the submitted order
         tape += [(step, fill_tick, n, oid, resting_id, side.value)
                  for fill_tick, n, resting_id in fills]
-        ref_trades, _ = ref.submit(oid, side.value, tick, shares, step, expires)
-        ref_tape += ref_trades
+        ref_tape += ref.submit(*order)[0]
     if lazy:
         expired += book.expire(last_step)
     for step in range(step_now, last_step + 1):
@@ -444,36 +469,40 @@ def small_streams(draw):
 def check_book_invariants(book, expired_through=None):
     """The book's records agree with its queues.
 
-    Per side: every level's shares sum its queue and the levels sum to
-    the side total; the order count matches the queues and no queue is
-    empty; ``ticks`` is strictly ascending and holds exactly the occupied
-    ticks, and ``best`` is its first ask or last bid (None when it is
-    empty). Then: the book is not crossed, the order index holds
-    exactly the queued orders, each with its expiry heap entry, and
-    (with ``expired_through``) none of them is due by that step.
+    Per side: no queue is empty, and every queued order is a live list
+    ``[expires, id, shares, tick, side]`` of its level's tick and side
+    with shares >= 1; every level's shares sum its queue; ``ticks`` is
+    strictly ascending and holds exactly the occupied ticks, and
+    ``best`` is its first ask or last bid (None when it is empty). Then:
+    the book is not crossed, ids are unique, the heap's live entries
+    (shares >= 1) are exactly the queued orders, every other entry is a
+    filled order (shares 0), and (with ``expired_through``) no queued
+    order is due by that step.
     """
-    queued = {}
-    for side in (book._bids, book._asks):
-        assert side.levels.keys() == side.level_shares.keys()
-        for tick, queue in side.levels.items():
+    queued = []
+    for side, book_side in ((Side.BUY, book._bids), (Side.SELL, book._asks)):
+        assert book_side.levels.keys() == book_side.level_shares.keys()
+        for tick, queue in book_side.levels.items():
             assert queue, f"empty queue at tick {tick}"
-            assert all(o.limit == tick and o.shares >= 1 for o in queue)
-            assert side.level_shares[tick] == sum(o.shares for o in queue)
-            queued.update((o.id, o) for o in queue)
-        assert sum(side.level_shares.values()) == side.total_shares
-        assert side.order_count == sum(map(len, side.levels.values()))
-        ticks = side.ticks
+            assert all(type(o) is list and len(o) == 5 for o in queue)
+            assert all(o[3] == tick and o[4] is side and o[2] >= 1
+                       for o in queue)
+            assert book_side.level_shares[tick] == sum(o[2] for o in queue)
+            queued += queue
+        ticks = book_side.ticks
         assert all(a < b for a, b in zip(ticks, ticks[1:]))
-        assert set(ticks) == side.levels.keys()
-        best = ticks[0 if side.sign > 0 else -1] if ticks else None
-        assert side.best == best
+        assert set(ticks) == book_side.levels.keys()
+        best = ticks[0 if book_side.sign > 0 else -1] if ticks else None
+        assert book_side.best == best
     bid, ask = book.best_bid(), book.best_ask()
     assert bid is None or ask is None or bid < ask
-    assert book._orders == queued  # same Order objects (identity equality)
-    assert {(o.expires_step, o.id) for o in queued.values()} <= set(
-        book._expiry_heap)
+    assert len({o[1] for o in queued}) == len(queued)
+    heap = book._expiry_heap
+    assert all(o[2] >= 0 for o in heap)
+    assert len({id(o) for o in heap}) == len(heap)
+    assert {id(o) for o in heap if o[2] > 0} == {id(o) for o in queued}
     if expired_through is not None:
-        assert all(o.expires_step > expired_through for o in queued.values())
+        assert all(o[0] > expired_through for o in queued)
 
 
 @settings(max_examples=120, deadline=None)
@@ -486,8 +515,7 @@ def test_stream_invariants(stream):
             book.expire(step_now)
             check_book_invariants(book, expired_through=step_now)
             step_now += 1
-        fills, rested = book.submit(
-            Order(oid, side, tick, shares, step, expires))
+        fills, rested = book.submit(oid, side, tick, shares, step, expires)
         check_book_invariants(book)
         # fills consume exactly what the aggressor loses
         filled = sum(n for _, n, _ in fills)
@@ -512,15 +540,58 @@ def test_stream_invariants(stream):
     assert book.resting_orders() == 0
 
 
+@settings(max_examples=120, deadline=None)
+@given(small_streams())
+# order 1 is filled at step 2, before its expiry at step 9
+@example([(1, 1, Side.SELL, 1000, 5, 9), (2, 2, Side.BUY, 1000, 5, 4)])
+def test_filled_orders_leave_the_book_at_once(stream):
+    """A filled order's heap entry stays until its expiry, but the order
+    is gone: after every submit and every expire, resting orders, shares
+    and open ids equal the reference's, and ``expire`` never returns a
+    fully filled order's id."""
+    book, ref = OrderBook(), ReferenceMatcher()
+    left = {}  # id -> its shares still unfilled, once it rested
+
+    def expire(step):
+        removed = book.expire(step)
+        assert sorted(removed) == ref.expire(step)
+        assert all(left[i] > 0 for i in removed)
+        check()
+
+    def check():
+        ids = ref.open_ids()
+        assert book.open_order_ids() == ids
+        assert book.resting_orders() == len(ids)
+        assert book.resting_shares() == ref.resting_shares()
+
+    step_now = 1
+    for step, oid, side, tick, shares, expires in stream:
+        while step_now < step:
+            expire(step_now)
+            step_now += 1
+        order = (oid, side.value, tick, shares, step, expires)
+        fills, rested = book.submit(*order)
+        ref.submit(*order)
+        for _, n, resting_id in fills:
+            left[resting_id] -= n
+            shares -= n
+        if rested is not None:
+            left[rested] = shares
+        check()
+    for step in range(step_now, max(expires for *_, expires in stream) + 1):
+        expire(step)
+    assert book.resting_orders() == 0 and not book._expiry_heap
+
+
 def test_next_expiry_skips_filled_orders():
     book = OrderBook()
     assert book.next_expiry() is None
-    book.submit(limit(1, Side.SELL, 1004, 5, expires=3))
-    book.submit(limit(2, Side.SELL, 1006, 5, expires=9))
+    book.submit(*limit(1, Side.SELL, 1004, 5, expires=3))
+    book.submit(*limit(2, Side.SELL, 1006, 5, expires=9))
     assert book.next_expiry() == 3
-    book.submit(limit(3, Side.BUY, 1004, 5, expires=4))  # fills order 1
+    book.submit(*limit(3, Side.BUY, 1004, 5, expires=4))  # fills order 1
     assert book.next_expiry() == 9
-    book.submit(limit(4, Side.BUY, 1006, 5, expires=5))  # fills order 2
+    book.submit(*limit(4, Side.BUY, 1006, 5, expires=5))  # fills order 2
     assert book.resting_orders() == 0 and book.next_expiry() is None
 
 
@@ -532,7 +603,7 @@ def test_next_expiry_contract(stream, data):
     also after fills that left their orders' heap entries behind."""
 
     def check():
-        live = [o.expires_step for o in book._orders.values()]
+        live = [expiries[i] for i in book.open_order_ids()]
         nxt = book.next_expiry()
         assert nxt == (min(live) if live else None)
         if nxt is not None:
@@ -541,6 +612,7 @@ def test_next_expiry_contract(stream, data):
             assert book.next_expiry() == nxt
 
     book = OrderBook()
+    expiries = {}  # id -> expiry, of every order submitted
     check()
     step_now = 1
     for step, oid, side, tick, shares, expires in stream:
@@ -548,7 +620,8 @@ def test_next_expiry_contract(stream, data):
             book.expire(step_now)
             check()
             step_now += 1
-        book.submit(Order(oid, side, tick, shares, step, expires))
+        book.submit(oid, side, tick, shares, step, expires)
+        expiries[oid] = expires
         check()
 
 

@@ -113,7 +113,7 @@ def test_engine_calls_match_the_output(monkeypatch):
             result = fn(*args, **kwargs)
             calls[name].append((args, result))
             if name == "submit":
-                sequence.append((name, args[1].placed_step))
+                sequence.append((name, args[5]))
             elif name == "expire":
                 sequence.append((name, args[1]))
             return result
@@ -126,11 +126,11 @@ def test_engine_calls_match_the_output(monkeypatch):
     out = run(small_config(horizon_T=8_000, snapshot_interval=50))
 
     act_steps = [args[3] for args, _ in calls["act"]]
-    orders = [args[1] for args, _ in calls["submit"]]
+    orders = [args for args, _ in calls["submit"]]  # (book, id, side, limit, ...)
     assert len(act_steps) == len(orders) == out.n_submitted > 1000
-    assert act_steps == [order.placed_step for order in orders]
+    assert act_steps == [order[5] for order in orders]
     assert all(a <= b for a, b in zip(act_steps, act_steps[1:]))
-    assert [order.limit for order in orders] == [
+    assert [order[3] for order in orders] == [
         limit for _, limit in calls["act"]]
     assert sum(len(fills) for _, (fills, _) in calls["submit"]) == len(
         out.trade_tape)
@@ -195,14 +195,20 @@ def test_series_on_a_crossing_book(monkeypatch):
                                   TraderSpec(kind=TraderKind.BIG, count=10,
                                              kappa=5.0, mu_lifetime=60.0)),
                     c=0.5, horizon_T=6000, warmup=0, seed=22)
-    rested = {}  # id -> (order, its shares when it came to rest)
+    rested = {}  # id -> (its expiry, its shares when it came to rest)
+    left = {}  # id -> its shares still unfilled, once it rested
     expired = set()
 
     class WatchedBook(OrderBook):
-        def submit(self, order):
-            fills, rested_id = super().submit(order)
+        def submit(self, order_id, side, limit, shares, step, expires):
+            fills, rested_id = super().submit(order_id, side, limit, shares,
+                                              step, expires)
+            for _, n, resting_id in fills:
+                left[resting_id] -= n
+                shares -= n
             if rested_id is not None:
-                rested[rested_id] = (order, order.shares)
+                rested[rested_id] = (expires, shares)
+                left[rested_id] = shares
             return fills, rested_id
 
         def expire(self, step):
@@ -214,11 +220,11 @@ def test_series_on_a_crossing_book(monkeypatch):
     out = run(cfg)
     monkeypatch.undo()
     assert len(expired) == out.n_expired
-    # an order's shares stay as they were when it left the book
-    partly = [i for i in expired if 0 < rested[i][0].shares < rested[i][1]]
+    # orders partly filled while resting, then expired
+    partly = [i for i in expired if 0 < left[i] < rested[i][1]]
     assert len(partly) > 100
-    ends = {order.expires_step for i, (order, _) in rested.items()
-            if i in expired or order.shares > 0}
+    ends = {expires for i, (expires, _) in rested.items()
+            if i in expired or left[i] > 0}
     assert {cfg.horizon_T, cfg.horizon_T + 1} <= ends
     assert_series_match_tape_and_depth(cfg)
 
