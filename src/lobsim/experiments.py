@@ -107,11 +107,19 @@ class Scenario:
             raise ValueError(
                 f"impact_quantiles must lie in (0, 1), got {self.impact_quantiles}"
             )
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"scenario seeds must be >= 0, got {self.seeds}")
+        cfg = self.config
+        n_returns = (cfg.horizon_T - cfg.warmup) // cfg.steps_per_minute
+        if n_returns < 4:
+            # excess_kurtosis needs 4 returns per run
+            raise ValueError(
+                f"horizon_T - warmup = {cfg.horizon_T} - {cfg.warmup} steps "
+                f"give {n_returns} returns of {cfg.steps_per_minute} steps "
+                f"per run; a run needs at least 4")
         if "volatility_pdf" in self.outputs:
             # moving_volatility's window, against the returns of one run
-            cfg = self.config
             window = self.vol_window // cfg.steps_per_minute
-            n_returns = (cfg.horizon_T - cfg.warmup) // cfg.steps_per_minute
             if not 2 <= window <= n_returns:
                 raise ValueError(
                     f"vol_window = {self.vol_window} covers {window} return "
@@ -206,21 +214,20 @@ def _run_seed(payload: tuple[Scenario, int, str | None, str | None]) -> RunArtif
     g = stats.normalize(rs)
     art = RunArtifacts(
         seed=seed,
-        n_returns=g.values.size,
-        gamma2=stats.excess_kurtosis(g.values),
-        normalized_returns=g.values,
+        n_returns=g.size,
+        gamma2=stats.excess_kurtosis(g),
+        normalized_returns=g,
         trades_per_minute=output.trades_per_minute,
         avg_volume_per_day=avg_volume_per_day(output),
     )
     if "volatility_pdf" in scenario.outputs:
-        art.volatilities = stats.moving_volatility(rs, scenario.vol_window)
+        art.volatilities = stats.moving_volatility(
+            rs, scenario.vol_window // cfg.steps_per_minute)
     if depth_dir is not None:
-        # quantile volumes: count the tape's shares, park the depth
+        # impact curves: count the tape's shares, park the depth for the walk
         tape = output.trade_tape
         art.share_counts = np.bincount(tape["shares"][tape["step"] > cfg.warmup])
         (Path(depth_dir) / f"{seed}.pickle").write_bytes(pickle.dumps(depth))
-    elif "impact_curves" in scenario.outputs:
-        art.impact_curves = _impact_curves(scenario, depth, scenario.impact_volumes)
     art.n_snapshots = len(depth)
     if "snapshots" in scenario.outputs and out_dir is None:
         # nothing on disk to hold it: hand the depth back in memory
@@ -234,7 +241,9 @@ def _run_seed(payload: tuple[Scenario, int, str | None, str | None]) -> RunArtif
 def _walk_seed(payload: tuple[Scenario, int, str, tuple]) -> dict[int, ImpactCurve]:
     scenario, seed, depth_dir, volumes = payload
     depth = pickle.loads((Path(depth_dir) / f"{seed}.pickle").read_bytes())
-    return _impact_curves(scenario, depth, volumes)
+    return {v: impact_distribution(depth, scenario.impact_side, v,
+                                   censored=scenario.impact_censored)
+            for v in volumes}
 
 
 # ----------------------------------------------------------------------
@@ -288,10 +297,11 @@ def run_scenario(
     this call. Each run's returns are standardized by its own mean and
     sigma before pooling.
 
-    Quantile impact volumes take two passes over the seeds: the first
-    parks each seed's depth in a temporary directory and returns its
-    share counts, the parent takes the volumes from their sum, and the
-    second walks each parked depth for those volumes.
+    Impact curves take two passes over the seeds: the first parks each
+    seed's depth in a temporary directory and returns its share counts,
+    the parent takes the volumes (the pinned ones, else the quantiles of
+    the counts' sum), and the second walks each parked depth for them.
+    A seed that fails in either pass is named (see ``fan_out``).
     """
     scenario_dir = None
     runs_dir = None
@@ -300,22 +310,23 @@ def run_scenario(
         runs_dir = scenario_dir / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)
 
-    quantile_path = "impact_curves" in scenario.outputs and not scenario.impact_volumes
     shared = nullcontext(pool) if pool is not None else worker_pool(
         workers, len(scenario.seeds))
-    parked = (tempfile.TemporaryDirectory(prefix="lobsim-") if quantile_path
-              else nullcontext())
-    volumes = ()
+    parked = (tempfile.TemporaryDirectory(prefix="lobsim-")
+              if "impact_curves" in scenario.outputs else nullcontext())
+    quantiles_used = ()
     # an owned pool shuts down before the directory goes: no worker writes to it
     with parked as depth_dir, shared as pool:
         payloads = [(scenario, seed, str(runs_dir) if runs_dir else None,
                      depth_dir) for seed in scenario.seeds]
         runs = fan_out(_run_seed, payloads, pool, lambda p: f"seed {p[1]}")
         runs.sort(key=lambda r: r.seed)
-        if quantile_path:
-            volumes = quantile_volumes(add_counts(r.share_counts for r in runs),
-                                       scenario.impact_quantiles)
-            volumes = tuple(dict.fromkeys(volumes))  # dedupe, keep order
+        if depth_dir is not None:
+            if not scenario.impact_volumes:
+                quantiles_used = tuple(dict.fromkeys(quantile_volumes(  # dedupe
+                    add_counts(r.share_counts for r in runs),
+                    scenario.impact_quantiles)))
+            volumes = scenario.impact_volumes or quantiles_used
             walks = [(scenario, r.seed, depth_dir, volumes) for r in runs]
             for r, curves in zip(runs, fan_out(_walk_seed, walks, pool,
                                                lambda p: f"seed {p[1]}")):
@@ -336,7 +347,7 @@ def run_scenario(
         if len(runs) > 1 else 0.0,
         trades_per_minute=float(np.mean([r.trades_per_minute for r in runs])),
         avg_volume_per_day=float(np.mean([r.avg_volume_per_day for r in runs])),
-        quantile_volumes_used=volumes,
+        quantile_volumes_used=quantiles_used,
     )
 
     if "volatility_pdf" in scenario.outputs:
@@ -352,13 +363,6 @@ def run_scenario(
     if scenario_dir is not None:
         _write_pooled_csvs(scenario_dir, scenario, result)
     return result
-
-
-def _impact_curves(scenario: Scenario, depth: Depth,
-                   volumes) -> dict[int, ImpactCurve]:
-    return {v: impact_distribution(depth, scenario.impact_side, v,
-                                   censored=scenario.impact_censored)
-            for v in volumes}
 
 
 # ----------------------------------------------------------------------

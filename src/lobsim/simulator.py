@@ -97,6 +97,8 @@ class SimConfig:
             raise ValueError("tick_size and start_price must be positive")
         if self.steps_per_minute < 1:
             raise ValueError("steps_per_minute must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.snapshot_interval < 0:
             raise ValueError("snapshot_interval must be >= 0")
         if self.warmup < 0:
@@ -223,22 +225,17 @@ def run(config: SimConfig) -> SimOutput:
 def fan_out(fn, jobs, pool: Executor | None, describe) -> list:
     """``fn(job)`` for every job, results in job order.
 
-    With a pool the jobs run in its workers, and a job that raises there
-    surfaces as ``RuntimeError("<describe(job)> failed: ...")`` after the
-    jobs not yet started are cancelled. Without one they run in this
-    process and errors pass through unchanged.
+    The jobs run in the pool's workers if one is given, else in this
+    process. Either way a job that raises surfaces as
+    ``RuntimeError("<describe(job)> failed: ...")``; a pool's map cancels
+    the jobs not yet started as the error leaves it.
     """
-    if pool is None:
-        return [fn(job) for job in jobs]
-    futures = [pool.submit(fn, job) for job in jobs]
     results = []
-    for future, job in zip(futures, jobs):
-        try:
-            results.append(future.result())
-        except Exception as exc:
-            for pending in futures:
-                pending.cancel()
-            raise RuntimeError(f"{describe(job)} failed: {exc}") from exc
+    try:
+        for result in (map if pool is None else pool.map)(fn, jobs):
+            results.append(result)
+    except Exception as exc:
+        raise RuntimeError(f"{describe(jobs[len(results)])} failed: {exc}") from exc
     return results
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ReturnSeries",
     "Histogram",
     "MomentAccumulator",
     "returns",
@@ -38,14 +37,6 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal float
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Dimensionless returns sampled every ``delta_t`` steps."""
-
-    values: np.ndarray
-    delta_t: int
-
-
-@dataclass(frozen=True)
 class Histogram:
     """Density-normalized histogram (integrates to 1)."""
 
@@ -57,7 +48,7 @@ class Histogram:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
-def returns(prices: np.ndarray, delta_t: int) -> ReturnSeries:
+def returns(prices: np.ndarray, delta_t: int) -> np.ndarray:
     """Relative price changes over non-overlapping delta_t windows.
 
     r_k = (s((k+1) dt) - s(k dt)) / s(k dt), sampling the input series
@@ -71,18 +62,17 @@ def returns(prices: np.ndarray, delta_t: int) -> ReturnSeries:
     if np.any(prices <= 0) or not np.all(np.isfinite(prices)):
         raise ValueError("prices must be positive and finite")
     sampled = prices[::delta_t]
-    vals = np.diff(sampled) / sampled[:-1]
-    return ReturnSeries(values=vals, delta_t=delta_t)
+    return np.diff(sampled) / sampled[:-1]
 
 
-def normalize(rs: ReturnSeries) -> ReturnSeries:
+def normalize(values: np.ndarray) -> np.ndarray:
     """Standardize returns to sample mean 0 and standard deviation 1."""
-    vals = np.asarray(rs.values, dtype=np.float64)
-    mean = vals.mean()
-    std = vals.std()
+    values = np.asarray(values, dtype=np.float64)
+    mean = values.mean()
+    std = values.std()
     if std == 0.0 or not np.isfinite(std):
         raise ValueError("degenerate return series: zero standard deviation")
-    return ReturnSeries(values=(vals - mean) / std, delta_t=rs.delta_t)
+    return (values - mean) / std
 
 
 def excess_kurtosis(values: np.ndarray) -> float:
@@ -96,20 +86,17 @@ def excess_kurtosis(values: np.ndarray) -> float:
     return kurt
 
 
-def moving_volatility(rs: ReturnSeries, window: int) -> np.ndarray:
-    """Standard deviation of returns over a sliding time window.
-
-    ``window`` is in simulation steps; each window covers
-    window // delta_t consecutive return samples and slides by one
-    sample. Empty result when the series is shorter than one window.
+def moving_volatility(values: np.ndarray, n_samples: int) -> np.ndarray:
+    """Standard deviation of returns over a sliding window of
+    ``n_samples`` consecutive samples, sliding by one sample. Empty
+    result when the series is shorter than one window.
     """
-    n = window // rs.delta_t
-    if n < 2:
+    if n_samples < 2:
         raise ValueError("window must cover at least 2 return samples")
-    vals = np.asarray(rs.values, dtype=np.float64)
-    if n > vals.size:
+    values = np.asarray(values, dtype=np.float64)
+    if n_samples > values.size:
         return np.empty(0, dtype=np.float64)
-    windows = np.lib.stride_tricks.sliding_window_view(vals, n)
+    windows = np.lib.stride_tricks.sliding_window_view(values, n_samples)
     return windows.std(axis=1)
 
 

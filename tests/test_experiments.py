@@ -110,12 +110,36 @@ def test_workers_env_override(monkeypatch):
         run_scenario(tiny_scenario(), workers=0)
 
 
-def test_failure_reports_seed():
-    scen = tiny_scenario(seeds=(1,))
-    bad = replace(scen, config=replace(scen.config, horizon_T=1_250))
-    # horizon barely above warmup leaves no full return window
-    with pytest.raises((RuntimeError, ValueError)):
-        run_scenario(bad, workers=1)
+def test_failure_reports_seed(monkeypatch):
+    real_run = experiments.run
+
+    def failing_run(config):
+        if config.seed == 2:
+            raise ValueError("injected failure")
+        return real_run(config)
+
+    # workers are forked after this, so they inherit the patched module
+    monkeypatch.setattr(experiments, "run", failing_run)
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError,
+                           match="^seed 2 failed: injected failure$"):
+            run_scenario(tiny_scenario(seeds=(5, 2, 7)), workers=workers)
+
+
+def test_scenario_needs_four_returns_per_run():
+    # 1250 - 1200 = 50 post-warmup steps: not one 60-step return
+    for horizon, n_returns in ((1_250, 0), (1_439, 3)):
+        with pytest.raises(ValueError, match=rf"^horizon_T - warmup = "
+                                             rf"{horizon} - 1200 steps give "
+                                             rf"{n_returns} returns"):
+            tiny_scenario(horizon_T=horizon)
+    assert tiny_scenario(horizon_T=1_440).config.horizon_T == 1_440
+
+
+def test_scenario_rejects_negative_seeds():
+    with pytest.raises(ValueError, match=r"^scenario seeds must be >= 0, "
+                                         r"got \(4, -3\)$"):
+        tiny_scenario(seeds=(4, -3))
 
 
 def test_scenario_validation(tmp_path):
@@ -253,22 +277,33 @@ def _quantile_scenario():
                    impact_quantiles=(0.5, 0.9))
 
 
+def _pinned_scenario():
+    return replace(_quantile_scenario(), impact_volumes=(10, 160))
+
+
 def test_quantile_path_removes_its_depth_directory(tmp_path, monkeypatch):
+    """Pinned and quantile volumes both park their depth, and remove it."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    inline = run_scenario(_quantile_scenario(), workers=1)
-    pooled = run_scenario(_quantile_scenario(), workers=2)
-    assert list(tmp_path.iterdir()) == []
-    assert inline.quantile_volumes_used == pooled.quantile_volumes_used
-    for v, curve in inline.impact_curves.items():
-        np.testing.assert_array_equal(curve.counts, pooled.impact_curves[v].counts)
-    assert all(r.depth is None and r.share_counts.sum() > 0 for r in pooled.runs)
+    for scen in (_pinned_scenario(), _quantile_scenario()):
+        inline = run_scenario(scen, workers=1)
+        pooled = run_scenario(scen, workers=2)
+        assert list(tmp_path.iterdir()) == []
+        assert inline.quantile_volumes_used == pooled.quantile_volumes_used
+        assert bool(inline.quantile_volumes_used) != bool(scen.impact_volumes)
+        assert inline.impact_curves.keys() == pooled.impact_curves.keys()
+        for v, curve in inline.impact_curves.items():
+            np.testing.assert_array_equal(curve.counts,
+                                          pooled.impact_curves[v].counts)
+        assert all(r.depth is None and r.share_counts.sum() > 0
+                   for r in pooled.runs)
 
 
 @pytest.mark.parametrize("phase", ["run", "walk"])
 def test_failed_seed_is_named_and_depth_directory_removed(tmp_path, monkeypatch,
                                                           phase):
     """A seed that fails while it runs (phase 1) or while its parked depth
-    is walked (phase 2) names itself, and the parked depth goes."""
+    is walked (phase 2) names itself at any worker count, for pinned and
+    quantile volumes alike, and the parked depth goes."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     scen = _quantile_scenario()
     # phase 1 takes the seeds as given (5, 2), phase 2 in seed order
@@ -290,9 +325,12 @@ def test_failed_seed_is_named_and_depth_directory_removed(tmp_path, monkeypatch,
         monkeypatch.setattr(experiments, "impact_distribution", failing(
             experiments.impact_distribution,
             lambda depth: np.array_equal(depth.ask_ticks, asks)))
-    with pytest.raises(RuntimeError, match=f"seed {bad} failed"):
-        run_scenario(scen, workers=2)
-    assert list(tmp_path.iterdir()) == []
+    for scenario in (_pinned_scenario(), scen):
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError,
+                               match=f"^seed {bad} failed: injected failure$"):
+                run_scenario(scenario, workers=workers)
+            assert list(tmp_path.iterdir()) == []
 
 
 def test_string_impact_side_walks_the_same_side():
@@ -486,12 +524,13 @@ def test_probe_failure_in_worker_names_seed_and_c(monkeypatch):
 
     # workers are forked after this, so they inherit the patched module
     monkeypatch.setattr(simulator, "run", failing_run)
-    with pytest.raises(RuntimeError,
-                       match=rf"^probe seed {bad_seed} at c=5\.0 failed: "
-                             "probe exploded"):
-        lifetime_sweep(base, [120.0], workers=2, target_tpm=4.0,
-                       probe_horizon=6_000)
-    assert multiprocessing.active_children() == []
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError,
+                           match=rf"^probe seed {bad_seed} at c=5\.0 failed: "
+                                 "probe exploded$"):
+            lifetime_sweep(base, [120.0], workers=workers, target_tpm=4.0,
+                           probe_horizon=6_000)
+        assert multiprocessing.active_children() == []
 
 
 def test_lifetime_sweep_single_row():
@@ -655,6 +694,8 @@ def test_config_errors(tmp_path):
         ("name = x\ntrader.a.count = 5\ntrader.a.kind = huge\n",
          "trader.a.kind = 'huge'"),
         ("name = x\ntrader.a.count = 5\nseeds = 1, two\n", "seeds = 'two'"),
+        ("name = x\ntrader.a.count = 5\nseeds = -3\n",
+         r"^scenario seeds must be >= 0, got \(-3,\)$"),
         ("name = x\ntrader.a.count = 5\nimpact_side = up\n",
          "impact_side = 'up'"),
     ):

@@ -306,6 +306,13 @@ def test_config_validation():
     assert cfg.warmup == 1200  # 10x the 120-step lifetime
 
 
+def test_config_rejects_negative_seed():
+    # the run would fail later, inside numpy, without naming the field
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        small_config(seed=-1)
+    assert small_config(seed=0).seed == 0
+
+
 # ----------------------------------------------------------------------
 # minute series
 # ----------------------------------------------------------------------

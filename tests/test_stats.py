@@ -34,13 +34,13 @@ def two_pass_moments(values):
 
 def test_returns_constant_prices():
     rs = stats.returns(np.full(601, 100.0), 60)
-    assert rs.values.shape == (10,)
-    assert (rs.values == 0).all()
+    assert rs.shape == (10,)
+    assert (rs == 0).all()
 
 
 def test_returns_definition():
     rs = stats.returns(np.array([100.0, 101.0]), 1)
-    assert rs.values[0] == pytest.approx(0.01)
+    assert rs[0] == pytest.approx(0.01)
 
 
 def test_returns_match_reference(rng):
@@ -49,7 +49,7 @@ def test_returns_match_reference(rng):
     rs = stats.returns(prices, delta)
     sampled = [prices[i] for i in range(0, len(prices), delta)]
     expected = [(b - a) / a for a, b in zip(sampled, sampled[1:])]
-    assert rs.values.tolist() == expected
+    assert rs.tolist() == expected
 
 
 def test_returns_validation():
@@ -67,29 +67,28 @@ def test_returns_validation():
 
 
 def test_normalize_zero_mean_unit_std(rng):
-    rs = stats.ReturnSeries(rng.exponential(2.0, 50_000) - 1.0, 60)
-    g = stats.normalize(rs)
-    assert abs(g.values.mean()) < 1e-9
-    assert abs(g.values.std() - 1.0) < 1e-9
+    g = stats.normalize(rng.exponential(2.0, 50_000) - 1.0)
+    assert abs(g.mean()) < 1e-9
+    assert abs(g.std() - 1.0) < 1e-9
 
 
 def test_normalize_affine_invariance(rng):
     r = rng.normal(0, 0.02, 10_000)
-    g1 = stats.normalize(stats.ReturnSeries(r, 60))
-    g2 = stats.normalize(stats.ReturnSeries(3.5 * r + 0.1, 60))
-    np.testing.assert_allclose(g1.values, g2.values, atol=1e-10)
+    g1 = stats.normalize(r)
+    g2 = stats.normalize(3.5 * r + 0.1)
+    np.testing.assert_allclose(g1, g2, atol=1e-10)
 
 
 def test_normalize_idempotent(rng):
     r = rng.standard_t(5, 20_000)
-    once = stats.normalize(stats.ReturnSeries(r, 60))
+    once = stats.normalize(r)
     twice = stats.normalize(once)
-    np.testing.assert_allclose(once.values, twice.values, atol=1e-12)
+    np.testing.assert_allclose(once, twice, atol=1e-12)
 
 
 def test_normalize_degenerate_raises():
     with pytest.raises(ValueError):
-        stats.normalize(stats.ReturnSeries(np.zeros(10), 60))
+        stats.normalize(np.zeros(10))
 
 
 def _half_stats(out) -> list[tuple[float, float]]:
@@ -107,7 +106,7 @@ def _half_stats(out) -> list[tuple[float, float]]:
                                 (prices[half:], mid, cfg.horizon_T)):
         g = stats.normalize(stats.returns(prices_half, cfg.steps_per_minute))
         trades = np.count_nonzero((steps > lo) & (steps <= hi))
-        result.append((stats.excess_kurtosis(g.values),
+        result.append((stats.excess_kurtosis(g),
                        trades / ((hi - lo) / cfg.steps_per_minute)))
     return result
 
@@ -178,16 +177,14 @@ def test_kurtosis_validation():
 
 
 def test_moving_volatility_constant_returns():
-    rs = stats.ReturnSeries(np.full(100, 0.01), 60)
-    vols = stats.moving_volatility(rs, window=600)  # 10 samples per window
+    vols = stats.moving_volatility(np.full(100, 0.01), n_samples=10)
     assert vols.shape == (91,)
     assert np.all(vols < 1e-15)
 
 
 def test_moving_volatility_full_window_is_global_sigma(rng):
     vals = rng.normal(0, 0.03, 500)
-    rs = stats.ReturnSeries(vals, 60)
-    vols = stats.moving_volatility(rs, window=500 * 60)
+    vols = stats.moving_volatility(vals, n_samples=500)
     assert vols.shape == (1,)
     assert vols[0] == pytest.approx(vals.std())
 
@@ -195,22 +192,19 @@ def test_moving_volatility_full_window_is_global_sigma(rng):
 def test_moving_volatility_two_regimes(rng):
     quiet = rng.normal(0, 1.0, 400)
     loud = rng.normal(0, 3.0, 400)
-    rs = stats.ReturnSeries(np.concatenate([quiet, loud]), 1)
-    vols = stats.moving_volatility(rs, window=50)
+    vols = stats.moving_volatility(np.concatenate([quiet, loud]), n_samples=50)
     assert vols[:200].mean() == pytest.approx(1.0, rel=0.1)
     assert vols[-200:].mean() == pytest.approx(3.0, rel=0.1)
     assert vols[-200:].mean() > 2 * vols[:200].mean()
 
 
 def test_moving_volatility_window_exceeding_series():
-    rs = stats.ReturnSeries(np.full(5, 0.01), 60)
-    assert stats.moving_volatility(rs, window=600).size == 0
+    assert stats.moving_volatility(np.full(5, 0.01), n_samples=10).size == 0
 
 
 def test_moving_volatility_window_too_small():
-    rs = stats.ReturnSeries(np.full(5, 0.01), 60)
     with pytest.raises(ValueError):
-        stats.moving_volatility(rs, window=60)
+        stats.moving_volatility(np.full(5, 0.01), n_samples=1)
 
 
 # ----------------------------------------------------------------------
