@@ -12,6 +12,8 @@ It cuts the shipped configs down (their first ``--seeds`` seeds, horizon
     impact  configs/big1200.cfg --volumes 10,160,700 --censored saturate
             --out impact_volumes
     sweep   configs/rt120.cfg --lifetimes 120,600 --out sweep
+    sweep   configs/rt120.cfg --lifetimes 120,600 --target-tpm 5.4
+            --out sweep_calibrated
 
 Each command's stdout is kept as ``<out>/stdout.txt``. The manifest is
 one ``path,bytes,sha256`` line per file, sorted by path, so checking
@@ -44,6 +46,8 @@ COMMANDS = (
     ("impact_volumes", "impact", "big1200",
      ("--volumes", "10,160,700", "--censored", "saturate")),
     ("sweep", "sweep", "rt120", ("--lifetimes", "120,600")),
+    ("sweep_calibrated", "sweep", "rt120",
+     ("--lifetimes", "120,600", "--target-tpm", "5.4")),
 )
 
 

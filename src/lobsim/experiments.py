@@ -370,7 +370,7 @@ def run_scenario(
 # ----------------------------------------------------------------------
 
 
-def with_lifetime(scenario: Scenario, mu_lt: float, name: str | None = None) -> Scenario:
+def with_lifetime(scenario: Scenario, mu_lt: float) -> Scenario:
     """Copy of a scenario with every trader group's lifetime replaced.
 
     The warmup is re-derived (10x the new lifetime) so swept books all
@@ -378,12 +378,10 @@ def with_lifetime(scenario: Scenario, mu_lt: float, name: str | None = None) -> 
     """
     specs = tuple(replace(s, mu_lifetime=float(mu_lt)) for s in scenario.config.trader_specs)
     cfg = replace(scenario.config, trader_specs=specs, warmup=None)
-    return replace(scenario, name=name or f"{scenario.name}_lt{int(mu_lt)}", config=cfg)
+    return replace(scenario, name=f"{scenario.name}_lt{int(mu_lt)}", config=cfg)
 
 
-def bigtrader_scenario(
-    base: Scenario, kappa: float, n_big: int, name: str | None = None
-) -> Scenario:
+def bigtrader_scenario(base: Scenario, kappa: float, n_big: int) -> Scenario:
     """Base population plus ``n_big`` large-order traders.
 
     The added group inherits lifetime and placement width from the
@@ -394,7 +392,7 @@ def bigtrader_scenario(
         raise ValueError("kappa must be >= 1")
     if n_big < 0:
         raise ValueError("n_big must be >= 0")
-    name = name or f"{base.name}_big{n_big}x{kappa:g}"
+    name = f"{base.name}_big{n_big}x{kappa:g}"
     if n_big == 0:
         return replace(base, name=name)
     template = base.config.trader_specs[0]
@@ -425,21 +423,35 @@ def lifetime_sweep(
     per-lifetime table of average resting volume per day and pooled
     kurtosis excess. One worker pool serves every calibration probe and
     every seed run of the sweep.
+
+    Every lifetime's scenario is built before anything runs, so a bad
+    lifetime, or two that share a scenario name (and so an output
+    directory), raise ValueError naming them at once.
     """
     lifetimes = list(lifetimes)
     if not lifetimes:
         raise ValueError("no lifetimes to sweep")
+    scenarios = {}
+    for mu_lt in lifetimes:
+        try:
+            scen = with_lifetime(base, mu_lt)
+        except ValueError as exc:
+            raise ValueError(f"lifetime {mu_lt}: {exc}") from exc
+        if scen.name in scenarios:
+            raise ValueError(f"lifetimes {scenarios[scen.name][0]} and {mu_lt} "
+                             f"share the scenario name {scen.name}")
+        scenarios[scen.name] = (mu_lt, scen)
     n_jobs = len(base.seeds)
     if target_tpm is not None:
         n_jobs = max(n_jobs, PROBE_SEEDS)
     rows = []
     with worker_pool(workers, n_jobs) as pool:
-        for mu_lt in lifetimes:
-            scen = with_lifetime(base, mu_lt)
+        for mu_lt, scen in scenarios.values():
             if target_tpm is not None:
                 probe = calibration_probe(scen.config, probe_horizon)
                 c = calibrate_c(target_tpm, probe, pool=pool)
                 scen = replace(scen, config=replace(scen.config, c=c))
+            # with one worker ``pool`` is None: ``workers`` keeps the seeds in process
             res = run_scenario(scen, out_dir=out_dir, workers=workers, pool=pool)
             rows.append(SweepRow(float(mu_lt), res.avg_volume_per_day,
                                  res.gamma2, res.gamma2_stderr))

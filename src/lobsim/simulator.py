@@ -42,6 +42,8 @@ __all__ = [
 
 PROBE_SEEDS = 5  # probe runs per calibration measurement
 PROBE_HORIZON = 30_000  # steps per probe run
+CALIBRATION_TOL = 0.05  # calibrate_c's relative tolerance on trades/minute
+CALIBRATION_MAX_PROBES = 60  # measurements before calibrate_c gives up
 
 # a trade tape row: one fill's step, tick and shares, and whether its aggressor bought
 TAPE_DTYPE = np.dtype([("step", np.int64), ("tick", np.int64),
@@ -269,8 +271,6 @@ def calibrate_c(
     target_tpm: float,
     probe_config: SimConfig,
     n_seeds: int = PROBE_SEEDS,
-    rel_tol: float = 0.05,
-    max_iter: int = 60,
     pool: Executor | None = None,
 ) -> float:
     """Find the waiting-time scale c hitting a target trade frequency.
@@ -279,15 +279,15 @@ def calibrate_c(
     1/c and the fixed point c <- c*tpm(c)/target is a Newton step with
     the model's own slope. Starting from ``probe_config.c``, measure tpm
     (averaged over n_seeds derived seeds) and return the measured c once
-    it lies within rel_tol of the target, so the next step would move c
-    by at most rel_tol; a measurement without trades quarters c instead.
+    it lies within CALIBRATION_TOL of the target, so the next step would
+    move c by at most that; a measurement without trades quarters c.
     Near the target tpm falls faster than 1/c, so Newton steps overshoot
     and alternate around it: when the last two measurements straddle the
     target, the next c interpolates log c against log tpm between them.
     Each measurement's seeds run on ``pool`` when given (see
     ``fan_out``); the result is the same float with or without one.
 
-    Raises RuntimeError when max_iter probe evaluations are exhausted.
+    Raises RuntimeError after CALIBRATION_MAX_PROBES measurements.
     """
     if target_tpm <= 0:
         raise ValueError("target_tpm must be positive")
@@ -295,9 +295,9 @@ def calibrate_c(
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     c = probe_config.c
     last_c = last_tpm = 0.0
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_PROBES):
         tpm = _probe_tpm(probe_config, c, n_seeds, pool)
-        if abs(tpm - target_tpm) <= rel_tol * target_tpm:
+        if abs(tpm - target_tpm) <= CALIBRATION_TOL * target_tpm:
             return c
         if tpm == 0:
             new_c = c / 4.0
@@ -308,5 +308,5 @@ def calibrate_c(
             new_c = c * tpm / target_tpm
         c, last_c, last_tpm = new_c, c, tpm
     raise RuntimeError(
-        f"calibration failed to converge in {max_iter} probe evaluations"
+        f"calibration failed to converge in {CALIBRATION_MAX_PROBES} probe evaluations"
     )

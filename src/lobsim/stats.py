@@ -7,7 +7,7 @@ corrections). Tail weight is measured by kurtosis excess, the fourth
 standardized moment minus 3: zero for a normal, positive for heavier
 tails.
 
-Moments come from one kernel, a mergeable central-moment accumulator
+Moments come from one kernel, a streaming central-moment accumulator
 (up to the fourth moment): it gives per-run kurtosis, and pools
 statistics across seeds without holding every sample. Also provides
 histogram / empirical-CCDF estimators and a log-normal reference fit
@@ -30,7 +30,6 @@ __all__ = [
     "estimate_pdf",
     "estimate_ccdf",
     "lognormal_reference",
-    "ks_statistic",
 ]
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
@@ -100,8 +99,8 @@ def moving_volatility(values: np.ndarray, n_samples: int) -> np.ndarray:
     return windows.std(axis=1)
 
 
-def estimate_pdf(values: np.ndarray, bins="fd") -> Histogram:
-    """Density-normalized histogram; Freedman-Diaconis bins by default."""
+def estimate_pdf(values: np.ndarray) -> Histogram:
+    """Density-normalized histogram over Freedman-Diaconis bins."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot estimate a density from no samples")
@@ -110,7 +109,7 @@ def estimate_pdf(values: np.ndarray, bins="fd") -> Histogram:
         edges = np.array([values[0] - 0.5, values[0] + 0.5])
         density, edges = np.histogram(values, bins=edges, density=True)
     else:
-        density, edges = np.histogram(values, bins=bins, density=True)
+        density, edges = np.histogram(values, bins="fd", density=True)
     return Histogram(edges=edges, density=density)
 
 
@@ -152,25 +151,13 @@ def lognormal_reference(sigmas: np.ndarray) -> tuple[float, float]:
     return float(logs.mean()), float(logs.std())
 
 
-def ks_statistic(values: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance against a CDF callable."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    n = values.size
-    if n == 0:
-        raise ValueError("no samples")
-    f = np.asarray(cdf(values), dtype=np.float64)
-    grid = np.arange(1, n + 1) / n
-    return float(np.max(np.maximum(np.abs(f - grid), np.abs(f - (grid - 1 / n)))))
-
-
 class MomentAccumulator:
-    """Streaming central moments up to order four, mergeable pairwise.
+    """Streaming central moments up to order four, batch by batch.
 
-    Accumulators from independent runs combine exactly (update order
-    aside, to rounding), so pooled mean/std/kurtosis never require the
-    raw samples. Uses the standard one-pass update generalized to
-    batches: a batch's own central sums are computed vectorized, then
-    merged like another accumulator.
+    Each ``add`` computes the batch's own central sums vectorized and
+    merges them into the running sums with the pairwise update, so a
+    sequence of batches pools exactly (batch order aside, to rounding)
+    and pooled mean/std/kurtosis never require the raw samples.
     """
 
     __slots__ = ("n", "m1", "m2", "m3", "m4")
@@ -197,12 +184,6 @@ class MomentAccumulator:
         batch.m4 = float((c2 * c2).sum())
         self._merge_in_place(batch)
         return self
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        combined = MomentAccumulator()
-        combined._merge_in_place(self)
-        combined._merge_in_place(other)
-        return combined
 
     def _merge_in_place(self, other: "MomentAccumulator") -> None:
         if other.n == 0:

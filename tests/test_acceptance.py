@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, lognorm, spearmanr
+from scipy.stats import ks_2samp, kstest, lognorm, spearmanr
 
 from lobsim import stats
 from lobsim.agents import TraderKind, TraderSpec
@@ -380,7 +380,7 @@ def test_criterion_7_volatility_lognormal(scenario_120):
     vols = scenario_120.volatilities
     vols = vols[vols > 0]
     loc, scale = stats.lognormal_reference(vols)
-    d = stats.ks_statistic(vols, lognorm(s=scale, scale=np.exp(loc)).cdf)
+    d = kstest(vols, lognorm(s=scale, scale=np.exp(loc)).cdf).statistic
     ok = d < 0.1
     report(7, "volatility distribution", ok,
            f"mu_lt=120, window 1000 steps, {vols.size} sigma samples: "

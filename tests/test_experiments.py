@@ -533,11 +533,28 @@ def test_probe_failure_in_worker_names_seed_and_c(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
-def test_lifetime_sweep_single_row():
+def test_lifetime_sweep_single_row(tmp_path):
     result = lifetime_sweep(tiny_scenario(), [120.0], workers=1)
     assert len(result.rows) == 1
     with pytest.raises(ValueError):
         lifetime_sweep(tiny_scenario(), [])
+    # every lifetime is checked before the first one runs: a name clash
+    # would overwrite outputs, a warmup of 10 x 1500 reaches the horizon
+    for lifetimes, message in (
+        ([120.0, 120.7], "lifetimes 120.0 and 120.7 share the scenario name "
+                         "tiny_lt120"),
+        ([120.0, 120.0], "lifetimes 120.0 and 120.0 share the scenario name "
+                         "tiny_lt120"),
+        ([120.0, 600.0, 1500.0],
+         "lifetime 1500.0: horizon_T must exceed warmup"),
+    ):
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as info:
+                lifetime_sweep(tiny_scenario(), lifetimes, out_dir=tmp_path,
+                               workers=workers)
+            assert str(info.value) == message
+            assert list(tmp_path.iterdir()) == []
+            assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -762,6 +779,8 @@ def test_cli_list_flags_name_themselves(demo_config, capsys):
          "--quantiles = 'q' is not a valid float"),
         (["sweep", "--lifetimes", "120,x"],
          "--lifetimes = 'x' is not a valid float"),
+        (["sweep", "--lifetimes", "120,120.5"],
+         "error: lifetimes 120.0 and 120.5 share the scenario name demo_lt120"),
     ):
         command, *flags = argv
         assert main([command, str(demo_config), *flags, "--workers", "1"]) == 1

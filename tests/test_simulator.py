@@ -484,12 +484,15 @@ def test_calibrate_rejects_bad_target():
             calibrate_c(5.4, small_config(), n_seeds=n_seeds)
 
 
-def test_calibrate_iteration_cap():
+def test_calibrate_iteration_cap(monkeypatch):
     # c ten times its fixed point (about 5): one measurement near 0.5
     # trades/minute cannot land within 5% of 5.4 on any stream
+    import lobsim.simulator as simulator
+
+    monkeypatch.setattr(simulator, "CALIBRATION_MAX_PROBES", 1)
     probe = small_config(c=50.0, horizon_T=5_000, warmup=500)
-    with pytest.raises(RuntimeError):
-        calibrate_c(5.4, probe, n_seeds=1, max_iter=1)
+    with pytest.raises(RuntimeError, match="converge in 1 probe evaluations"):
+        calibrate_c(5.4, probe, n_seeds=1)
 
 
 # ----------------------------------------------------------------------
