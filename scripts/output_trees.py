@@ -15,10 +15,13 @@ It cuts the shipped configs down (their first ``--seeds`` seeds, horizon
     sweep   configs/rt120.cfg --lifetimes 120,600 --target-tpm 5.4
             --out sweep_calibrated
 
-Each command's stdout is kept as ``<out>/stdout.txt``. The manifest is
-one ``path,bytes,sha256`` line per file, sorted by path, so checking
-one checkout against another, or one worker count against another, is
-one ``diff`` of two manifests. The CLI comes from this checkout's
+Each command runs in a fresh interpreter with the test-only packages
+(scipy, hypothesis, pytest) blocked from import, so a runtime import of
+one of them, also inside a worker, fails the script: the runtime needs
+numpy only. Each command's stdout is kept as ``<out>/stdout.txt``. The
+manifest is one ``path,bytes,sha256`` line per file, sorted by path, so
+checking one checkout against another, or one worker count against
+another, is one ``diff`` of two manifests. The CLI comes from this checkout's
 ``src/``; the files are written to a temporary directory and removed
 unless ``--keep`` names a directory to write them to instead.
 """
@@ -51,6 +54,17 @@ COMMANDS = (
 )
 
 
+# ``python -c NUMPY_ONLY <subcommand> ...`` runs the CLI, which forks its
+# workers from this interpreter, with the test-only packages unimportable
+NUMPY_ONLY = """\
+import sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from lobsim.cli import main
+sys.exit(main())
+"""
+
+
 def cut_config(name: str, root: Path, n_seeds: int, horizon: int) -> str:
     """The shipped config ``name`` cut down, written under ``root``."""
     scenario = scenario_from_config(REPO / "configs" / f"{name}.cfg")
@@ -66,7 +80,7 @@ def write_trees(root: Path, workers: int, n_seeds: int, horizon: int) -> None:
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     for out, command, config, options in COMMANDS:
         # relative paths keep the stdout free of the temporary root
-        argv = [sys.executable, "-m", "lobsim.cli", command, configs[config],
+        argv = [sys.executable, "-c", NUMPY_ONLY, command, configs[config],
                 *options, "--out", out, "--workers", str(workers)]
         done = subprocess.run(argv, cwd=root, env=env, capture_output=True,
                               text=True)

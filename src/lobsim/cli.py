@@ -68,7 +68,7 @@ def _cmd_calibrate(args) -> int:
     config = (scenario_from_config(args.config).config if args.config
               else SimConfig())
     probe = calibration_probe(config, args.probe_horizon)
-    with worker_pool(None, args.probe_seeds) as pool:
+    with worker_pool(args.workers, args.probe_seeds) as pool:
         c = calibrate_c(args.target_tpm, probe, n_seeds=args.probe_seeds,
                         pool=pool)
     print(f"calibrated c = {c!r} for {args.target_tpm} trades/minute")
@@ -106,10 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_workers(p):
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: CPU count)")
+
     def add_common(p):
         p.add_argument("--out", default=None, help="output directory for CSVs")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: LOBSIM_WORKERS or CPU count)")
+        add_workers(p)
 
     p_run = sub.add_parser("run", help="run one scenario config")
     p_run.add_argument("config")
@@ -133,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--target-tpm", type=float, required=True)
     p_cal.add_argument("--probe-horizon", type=int, default=PROBE_HORIZON)
     p_cal.add_argument("--probe-seeds", type=int, default=PROBE_SEEDS)
+    add_workers(p_cal)
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_imp = sub.add_parser("impact", help="virtual market impact curves")

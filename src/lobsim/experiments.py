@@ -53,14 +53,12 @@ __all__ = [
     "scenario_from_config",
     "write_config",
     "worker_pool",
-    "WORKERS_ENV_VAR",
 ]
 
 # 390 trading minutes per day, matching the US session the empirical
 # calibration targets come from.
 MINUTES_PER_DAY = 390
 
-WORKERS_ENV_VAR = "LOBSIM_WORKERS"
 CSV_CHUNK = 4096  # lines per write: a long series is never one string
 
 KNOWN_OUTPUTS = frozenset(
@@ -252,16 +250,9 @@ def _walk_seed(payload: tuple[Scenario, int, str, tuple]) -> dict[int, ImpactCur
 
 
 def _resolve_workers(workers: int | None, n_jobs: int) -> int:
-    """The argument, else LOBSIM_WORKERS, else the CPU count; at most n_jobs."""
+    """The argument, else the CPU count; at most n_jobs."""
     if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if not env:
-            return max(1, min(os.cpu_count() or 1, n_jobs))
-        if not env.isdigit() or int(env) < 1:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}"
-            )
-        workers = int(env)
+        workers = os.cpu_count() or 1
     elif workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     return max(1, min(workers, n_jobs))

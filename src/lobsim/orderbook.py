@@ -45,7 +45,7 @@ BUY, SELL = Side.BUY, Side.SELL  # hot paths: a global beats Side.BUY
 
 
 class OrderRejected(ValueError):
-    """Order failed admission checks (bad id, shares or limit)."""
+    """Order failed admission checks (bad id, shares, limit or expiry)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,18 +127,9 @@ class OrderBook:
     def best_ask(self) -> int | None:
         return self._asks.best
 
-    def _queues(self):
-        return chain(self._bids.levels.values(), self._asks.levels.values())
-
-    def resting_shares(self) -> int:
-        return (sum(self._bids.level_shares.values())
-                + sum(self._asks.level_shares.values()))
-
     def resting_orders(self) -> int:
-        return sum(map(len, self._queues()))
-
-    def open_order_ids(self) -> set[int]:
-        return {order[1] for queue in self._queues() for order in queue}
+        return sum(map(len, chain(self._bids.levels.values(),
+                                  self._asks.levels.values())))
 
     # ------------------------------------------------------------------
     # order entry
@@ -151,15 +142,16 @@ class OrderBook:
         Fills walk the opposite side best-first while its price satisfies
         the limit, executing at the resting order's tick. Returns the
         fills and the order id if a remainder rested, else None. The id,
-        limit and shares must be integers (numpy ones are cast); a side
-        given by its value ("buy" or "sell") is cast to ``Side``. The
-        order rests until ``expires``, which may not precede ``step``.
+        limit, shares and expiry must be integers (numpy ones are cast);
+        a side given by its value ("buy" or "sell") is cast to ``Side``.
+        The order rests until ``expires``, which may not precede ``step``.
         """
         try:
-            order_id, limit, shares = index(order_id), index(limit), index(shares)
+            order_id, limit = index(order_id), index(limit)
+            shares, expires = index(shares), index(expires)
         except TypeError:
             for name, value in (("id", order_id), ("limit", limit),
-                                ("shares", shares)):
+                                ("shares", shares), ("expires", expires)):
                 try:
                     index(value)
                 except TypeError:

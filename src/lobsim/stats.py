@@ -171,45 +171,37 @@ class MomentAccumulator:
 
     def add(self, values: np.ndarray) -> "MomentAccumulator":
         values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
+        nb = values.size
+        if nb == 0:
             return self
         mean = float(values.mean())
         centered = values - mean
         c2 = centered * centered
-        batch = MomentAccumulator()
-        batch.n = values.size
-        batch.m1 = mean
-        batch.m2 = float(c2.sum())
-        batch.m3 = float((c2 * centered).sum())
-        batch.m4 = float((c2 * c2).sum())
-        self._merge_in_place(batch)
-        return self
-
-    def _merge_in_place(self, other: "MomentAccumulator") -> None:
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n, self.m1 = other.n, other.m1
-            self.m2, self.m3, self.m4 = other.m2, other.m3, other.m4
-            return
-        na, nb = self.n, other.n
+        b2 = float(c2.sum())
+        b3 = float((c2 * centered).sum())
+        b4 = float((c2 * c2).sum())
+        na = self.n
+        if na == 0:
+            self.n, self.m1, self.m2, self.m3, self.m4 = nb, mean, b2, b3, b4
+            return self
         n = na + nb
-        delta = other.m1 - self.m1
+        delta = mean - self.m1
         d_n = delta / n
-        m2 = self.m2 + other.m2 + delta * d_n * na * nb
+        m2 = self.m2 + b2 + delta * d_n * na * nb
         m3 = (
-            self.m3 + other.m3
+            self.m3 + b3
             + delta * d_n**2 * na * nb * (na - nb)
-            + 3.0 * d_n * (na * other.m2 - nb * self.m2)
+            + 3.0 * d_n * (na * b2 - nb * self.m2)
         )
         m4 = (
-            self.m4 + other.m4
+            self.m4 + b4
             + delta * d_n**3 * na * nb * (na * na - na * nb + nb * nb)
-            + 6.0 * d_n**2 * (na * na * other.m2 + nb * nb * self.m2)
-            + 4.0 * d_n * (na * other.m3 - nb * self.m3)
+            + 6.0 * d_n**2 * (na * na * b2 + nb * nb * self.m2)
+            + 4.0 * d_n * (na * b3 - nb * self.m3)
         )
         self.m1 += d_n * nb
         self.n, self.m2, self.m3, self.m4 = n, m2, m3, m4
+        return self
 
     @property
     def count(self) -> int:

@@ -77,6 +77,18 @@ def build_random_book(
     return book
 
 
+def resting_shares(book: OrderBook) -> int:
+    """The shares resting on both sides, summed from a depth snapshot."""
+    snap = book.snapshot(0)
+    return int(snap.bid_shares.sum() + snap.ask_shares.sum())
+
+
+def open_order_ids(book: OrderBook) -> set[int]:
+    """The ids of the orders resting in the book's level queues."""
+    return {order[1] for side in (book._bids, book._asks)
+            for queue in side.levels.values() for order in queue}
+
+
 def rebuild_book(snap: Depth) -> OrderBook:
     """A book holding one order per level of the one-row record ``snap``."""
     book = OrderBook(snap.tick_size)

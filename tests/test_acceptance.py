@@ -29,7 +29,7 @@ from lobsim.impact import (add_counts, curve_distance, impact_distribution,
 from lobsim.orderbook import Depth, OrderBook, Side
 from lobsim.simulator import SimConfig, calibrate_c, derive_seed, run
 
-from .helpers import build_random_book, make_stream
+from .helpers import build_random_book, make_stream, open_order_ids
 from .reference_matcher import ReferenceMatcher
 
 TPM_TARGET = 5.4
@@ -171,7 +171,7 @@ def _oracle_stream(stream_seed: int) -> tuple[bool, int]:
         expired = sorted(book.expire(step))
         if expired != ref.expire(step):
             return False, len(tape)
-    return tape == ref_tape and book.open_order_ids() == ref.open_ids(), len(tape)
+    return tape == ref_tape and open_order_ids(book) == ref.open_ids(), len(tape)
 
 
 def test_criterion_1_matching_oracle():

@@ -90,19 +90,9 @@ def test_worker_pool_matches_inline():
     np.testing.assert_array_equal(inline.pooled_returns, pooled.pooled_returns)
 
 
-def test_workers_env_override(monkeypatch):
-    from lobsim import experiments
-
-    monkeypatch.setenv(experiments.WORKERS_ENV_VAR, "1")
-    assert experiments._resolve_workers(None, 8) == 1
-    monkeypatch.delenv(experiments.WORKERS_ENV_VAR)
+def test_resolve_workers():
     assert experiments._resolve_workers(3, 8) == 3
     assert experiments._resolve_workers(16, 4) == 4
-    for bad in ("abc", "-2", "0", "1.5"):
-        monkeypatch.setenv(experiments.WORKERS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match="LOBSIM_WORKERS"):
-            experiments._resolve_workers(None, 8)
-    monkeypatch.delenv(experiments.WORKERS_ENV_VAR)
     for bad in (0, -2):
         with pytest.raises(ValueError, match="^workers must"):
             experiments._resolve_workers(bad, 8)
@@ -813,6 +803,28 @@ def test_cli_calibrate(demo_config, capsys):
                  "--probe-horizon", "8000", "--probe-seeds", "2"])
     assert code == 0
     assert "calibrated c" in capsys.readouterr().out
+
+
+def test_cli_calibrate_workers(demo_config, capsys, monkeypatch):
+    """One worker probes in process and finds the same c as two; a
+    count below 1 is refused."""
+    argv = ["calibrate", str(demo_config), "--target-tpm", "4.0",
+            "--probe-horizon", "8000", "--probe-seeds", "2", "--workers"]
+    pools = []
+    process_pool = experiments.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return process_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", recording_pool)
+    assert main([*argv, "1"]) == 0
+    inline = capsys.readouterr().out
+    assert pools == [] and inline.startswith("calibrated c = ")
+    assert main([*argv, "2"]) == 0
+    assert pools == [2] and capsys.readouterr().out == inline
+    assert main([*argv, "0"]) == 1
+    assert "workers must be a positive integer" in capsys.readouterr().err
 
 
 def test_cli_impact(demo_config, tmp_path, capsys):

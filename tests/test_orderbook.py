@@ -12,7 +12,7 @@ from lobsim.impact import impact_distribution
 from lobsim.orderbook import Depth, OrderBook, OrderRejected, Side
 
 from .helpers import (build_random_book, depth_rows, make_stream,
-                      rebuild_book, sweep)
+                      open_order_ids, rebuild_book, resting_shares, sweep)
 from .reference_matcher import ReferenceMatcher
 
 
@@ -99,16 +99,20 @@ def test_bad_limit_rejected():
     ("shares", (2, Side.BUY, 1005, 2.5)),
     ("shares", (2, Side.BUY, 1005, "10")),
     ("id", (2.0, Side.BUY, 1005, 10)),
+    ("expires", (2, Side.BUY, 1005, 10, 0, float("nan"))),
+    ("expires", (2, Side.BUY, 1005, 10, 0, 2.5)),
+    ("expires", (2, Side.BUY, 1005, 10, 0, None)),
 ])
 def test_non_integer_fields_rejected(name, order):
     """A fractional tick or share count would rest and then show
-    truncated in snapshots: it is refused, naming the field, and the
-    book and the next id are as before."""
+    truncated in snapshots, and a NaN expiry would top the expiry heap
+    and keep every order behind it resting: each is refused, naming the
+    field, and the book and the next id are as before."""
     book = OrderBook()
     book.submit(*limit(1, Side.SELL, 1005, 3))  # a fractional buy would cross
     with pytest.raises(OrderRejected, match=f"order {name} must be an integer"):
         book.submit(*limit(*order))
-    assert (book.best_bid(), book.best_ask(), book.resting_shares()) == (
+    assert (book.best_bid(), book.best_ask(), resting_shares(book)) == (
         None, 1005, 3)
     assert book.submit(*limit(2, Side.BUY, 1000, 1)) == ([], 2)
 
@@ -116,12 +120,13 @@ def test_non_integer_fields_rejected(name, order):
 def test_numpy_integer_fields_enter_as_python_ints():
     book = OrderBook()
     assert book.submit(np.int64(1), Side.SELL, np.int32(1005), np.int64(10),
-                       0, 10**9) == ([], 1)
+                       0, np.int64(10**9)) == ([], 1)
     fills, rested = book.submit(np.uint16(2), Side.BUY, np.int64(1006),
-                                np.uint8(4), 0, 10**9)
+                                np.uint8(4), 0, np.int32(10**9))
     assert fills == [(1005, 4, 1)] and rested is None
-    values = [*fills[0], book.best_ask(), book.resting_shares(),
-              *book.open_order_ids()]
+    (resting,) = book._asks.levels[1005]  # [expires, id, shares, tick, side]
+    values = [*fills[0], book.best_ask(), *book._asks.level_shares.values(),
+              *resting[:4]]
     assert all(type(v) is int for v in values)
 
 
@@ -185,7 +190,7 @@ def test_expire_single_order():
     book.submit(*limit(1, Side.BUY, 1000, 5, step=0, expires=7))
     assert book.expire(6) == []
     assert book.expire(7) == [1]
-    assert book.resting_shares() == 0
+    assert resting_shares(book) == 0
 
 
 def test_expire_empty_book():
@@ -215,7 +220,7 @@ def test_expiry_conservation(rng):
             fills[oid] = fills.get(oid, 0) + n
     for step in range(step_now, max(e for *_, e in stream) + 1):
         expired_ids += book.expire(step)
-    assert book.resting_shares() == 0
+    assert resting_shares(book) == 0
     fully_filled_resting = {
         oid for oid in rested_ids if fills.get(oid, 0) == sizes[oid]
     }
@@ -369,7 +374,11 @@ def test_snapshot_orders_and_totals(rng):
     assert list(snap.ask_ticks) == sorted(snap.ask_ticks)
     assert list(snap.bid_ticks) == sorted(snap.bid_ticks, reverse=True)
     assert snap.bid_ticks[0] < snap.ask_ticks[0]
-    assert int(snap.bid_shares.sum() + snap.ask_shares.sum()) == book.resting_shares()
+    for ticks, shares, side in ((snap.bid_ticks, snap.bid_shares, book._bids),
+                                (snap.ask_ticks, snap.ask_shares, book._asks)):
+        assert ticks.tolist() == sorted(side.levels, reverse=side.sign < 0)
+        assert shares.tolist() == [sum(order[2] for order in side.levels[t])
+                                   for t in ticks.tolist()]
     assert (snap.bid_shares >= 1).all() and (snap.ask_shares >= 1).all()
 
 
@@ -436,8 +445,8 @@ def assert_same_outcome(stream, lazy=False):
     book, ref, tape, ref_tape, expired, ref_expired = _run_both(stream, lazy)
     assert tape == ref_tape
     assert expired == ref_expired
-    assert book.open_order_ids() == ref.open_ids()
-    assert book.resting_shares() == ref.resting_shares()
+    assert open_order_ids(book) == ref.open_ids()
+    assert resting_shares(book) == ref.resting_shares()
 
 
 def test_oracle_equivalence_long_stream(rng):
@@ -560,9 +569,9 @@ def test_filled_orders_leave_the_book_at_once(stream):
 
     def check():
         ids = ref.open_ids()
-        assert book.open_order_ids() == ids
+        assert open_order_ids(book) == ids
         assert book.resting_orders() == len(ids)
-        assert book.resting_shares() == ref.resting_shares()
+        assert resting_shares(book) == ref.resting_shares()
 
     step_now = 1
     for step, oid, side, tick, shares, expires in stream:
@@ -603,7 +612,7 @@ def test_next_expiry_contract(stream, data):
     also after fills that left their orders' heap entries behind."""
 
     def check():
-        live = [expiries[i] for i in book.open_order_ids()]
+        live = [expiries[i] for i in open_order_ids(book)]
         nxt = book.next_expiry()
         assert nxt == (min(live) if live else None)
         if nxt is not None:
