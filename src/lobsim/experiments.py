@@ -86,8 +86,13 @@ class Scenario:
                            "impact_volumes": operator.index,
                            "impact_quantiles": float, "impact_side": Side},
                     each=("seeds", "impact_volumes", "impact_quantiles"))
-        if not self.name:
-            raise ValueError("scenario needs a name")
+        # the name is a directory under out_dir and a config line
+        name = self.name
+        if (not name or name in (".", "..") or name != name.strip()
+                or name.splitlines() != [name] or "/" in name or "#" in name):
+            raise ValueError(f"name = {name!r} is not a valid scenario name "
+                             "(one path part, no '#', line break or outer "
+                             "space)")
         if not self.seeds:
             raise ValueError("scenario needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -253,7 +258,11 @@ def _resolve_workers(workers: int | None, n_jobs: int) -> int:
     """The argument, else the CPU count; at most n_jobs."""
     if workers is None:
         workers = os.cpu_count() or 1
-    elif workers < 1:
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ValueError(f"workers = {workers!r} is not a valid int") from None
+    if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     return max(1, min(workers, n_jobs))
 

@@ -4,10 +4,11 @@ Price levels are integer tick indices (price = tick * tick_size); all
 matching logic runs on integers so no floating point enters the book.
 Each occupied level holds a FIFO queue of resting orders, giving
 price-time priority: better price first, earlier order id within a
-level. Each side keeps its occupied ticks in one ascending list and its
-best tick as an attribute. A resting order is one plain list, held by
-its level's queue and by the expiry heap, where it is its own entry,
-ordered by (expires, id); a filled order leaves the heap lazily.
+level; the queue carries its level's share total. Each side keeps its
+occupied ticks in one ascending list, whose end nearest the spread is
+its best tick. A resting order is one plain list, held by its level's
+queue and by the expiry heap, where it is its own entry, ordered by
+(expires, id); a filled order leaves the heap lazily.
 
 Supports crossing limit orders (fills execute at the resting order's
 tick, remainder rests), expiry and per-level depth snapshots
@@ -85,16 +86,20 @@ class Depth:
         ))
 
 
+class _Level(deque):
+    """A price level: its FIFO queue of orders, carrying their ``shares``."""
+
+    __slots__ = ("shares",)
+
+
 @dataclass
 class _BookSide:
-    """One side of the book: FIFO queues per occupied tick, the occupied
-    ``ticks`` in ascending order and the ``best`` of them (None if none)."""
+    """One side of the book: a level per occupied tick and the occupied
+    ``ticks`` in ascending order."""
 
     sign: int  # +1 asks (best = lowest), -1 bids (best = highest)
-    levels: dict[int, deque[list]] = field(default_factory=dict)
-    level_shares: dict[int, int] = field(default_factory=dict)
+    levels: dict[int, _Level] = field(default_factory=dict)
     ticks: list[int] = field(default_factory=list)
-    best: int | None = None
 
 
 class OrderBook:
@@ -103,9 +108,9 @@ class OrderBook:
     Order ids must be strictly increasing across submissions; they double
     as the time component of price-time priority. A resting order is one
     list ``[expires, id, shares, tick, side]``, held by its level's queue
-    and, as its own entry, by the expiry heap; ``shares`` is what is left
-    of it, and 0 once it is filled, which leaves its queue at once and
-    the heap lazily.
+    and, as its own entry, by the expiry heap; ``side`` is the book side
+    it rests on, and ``shares`` is what is left of it, 0 once it is
+    filled, which leaves its queue at once and the heap lazily.
     """
 
     def __init__(self, tick_size: float = 0.1):
@@ -122,10 +127,12 @@ class OrderBook:
     # ------------------------------------------------------------------
 
     def best_bid(self) -> int | None:
-        return self._bids.best
+        ticks = self._bids.ticks
+        return ticks[-1] if ticks else None
 
     def best_ask(self) -> int | None:
-        return self._asks.best
+        ticks = self._asks.ticks
+        return ticks[0] if ticks else None
 
     def resting_orders(self) -> int:
         return sum(map(len, chain(self._bids.levels.values(),
@@ -142,16 +149,18 @@ class OrderBook:
         Fills walk the opposite side best-first while its price satisfies
         the limit, executing at the resting order's tick. Returns the
         fills and the order id if a remainder rested, else None. The id,
-        limit, shares and expiry must be integers (numpy ones are cast);
-        a side given by its value ("buy" or "sell") is cast to ``Side``.
+        limit, shares, step and expiry must be integers (numpy ones are
+        cast); a side given by its value ("buy" or "sell") is cast to
+        ``Side``.
         The order rests until ``expires``, which may not precede ``step``.
         """
         try:
             order_id, limit = index(order_id), index(limit)
-            shares, expires = index(shares), index(expires)
+            shares, step, expires = index(shares), index(step), index(expires)
         except TypeError:
             for name, value in (("id", order_id), ("limit", limit),
-                                ("shares", shares), ("expires", expires)):
+                                ("shares", shares), ("step", step),
+                                ("expires", expires)):
                 try:
                     index(value)
                 except TypeError:
@@ -171,27 +180,26 @@ class OrderBook:
 
         if side is BUY:
             own, other = self._bids, self._asks
+            crosses = other.ticks and other.ticks[0] <= limit
         else:
             own, other = self._asks, self._bids
-        best = other.best
-        if best is not None and other.sign * (best - limit) <= 0:
+            crosses = other.ticks and other.ticks[-1] >= limit
+        if crosses:
             fills, shares = self._match(shares, other, limit)
             if shares == 0:
                 return fills, None
         else:
             fills = []
 
-        order = [expires, order_id, shares, limit, side]
-        queue = own.levels.get(limit)
-        if queue is None:
-            own.levels[limit] = deque((order,))
-            own.level_shares[limit] = shares
-            ticks = own.ticks
-            insort(ticks, limit)
-            own.best = ticks[0 if own.sign > 0 else -1]
+        order = [expires, order_id, shares, limit, own]
+        level = own.levels.get(limit)
+        if level is None:
+            own.levels[limit] = level = _Level((order,))
+            level.shares = shares
+            insort(own.ticks, limit)
         else:
-            queue.append(order)
-            own.level_shares[limit] += shares
+            level.append(order)
+            level.shares += shares
         heappush(self._expiry_heap, order)  # ordered by (expires, id)
         return fills, order_id
 
@@ -199,14 +207,12 @@ class OrderBook:
                limit: int) -> tuple[list, int]:
         """Fill ``shares`` against ``book_side`` best-first.
 
-        Levels are consumed while they cross ``limit``. Level totals are
-        updated once per level; a fully consumed level is the best, so
-        its tick is the end of ``ticks`` nearest the spread. Returns the
-        fills and the shares left unfilled.
+        Levels are consumed while they cross ``limit``; the best tick is
+        the end of ``ticks`` nearest the spread. Level totals are updated
+        once per level. Returns the fills and the shares left unfilled.
         """
         fills: list[tuple[int, int, int]] = []
         levels = book_side.levels
-        level_shares = book_side.level_shares
         ticks = book_side.ticks
         sign = book_side.sign
         end = 0 if sign > 0 else -1  # the best tick's place in ticks
@@ -214,8 +220,7 @@ class OrderBook:
         # at or below a buy limit, bids (sign -1) at or above a sell limit
         bound = sign * limit
         remaining = shares
-        best = book_side.best
-        while remaining > 0 and best is not None and sign * best <= bound:
+        while remaining > 0 and ticks and sign * (best := ticks[end]) <= bound:
             queue = levels[best]
             level_fill = 0
             while queue and remaining > 0:
@@ -229,13 +234,9 @@ class OrderBook:
                 if fill == left:
                     queue.popleft()
             if queue:
-                level_shares[best] -= level_fill
+                queue.shares -= level_fill
             else:
-                del levels[best]
-                del level_shares[best]
-                del ticks[end]
-                best = ticks[end] if ticks else None
-        book_side.best = best
+                del levels[best], ticks[end]
         return fills, remaining
 
     # ------------------------------------------------------------------
@@ -259,21 +260,17 @@ class OrderBook:
         heap = self._expiry_heap
         while heap and heap[0][0] <= step:
             order = heappop(heap)
-            _, order_id, shares, tick, _ = order
+            _, order_id, shares, tick, side = order
             if shares == 0:
                 continue  # already fully filled
-            side = self._bids if order[4] is BUY else self._asks
             queue = side.levels[tick]
             queue.remove(order)
             if queue:
-                side.level_shares[tick] -= shares
+                queue.shares -= shares
             else:
-                del side.levels[tick], side.level_shares[tick]
+                del side.levels[tick]
                 ticks = side.ticks
                 del ticks[bisect_left(ticks, tick)]
-                if tick == side.best:
-                    side.best = (ticks[0 if side.sign > 0 else -1]
-                                 if ticks else None)
             removed.append(order_id)
         return removed
 
@@ -284,12 +281,12 @@ class OrderBook:
     def snapshot(self, step: int) -> Depth:
         """One-row depth record of the book, best level first on both
         sides; its seven columns are slices of one int64 array."""
-        bids, asks = self._bids, self._asks
-        bid_ticks, ask_ticks = bids.ticks[::-1], asks.ticks
+        bids, asks = self._bids.levels, self._asks.levels
+        bid_ticks, ask_ticks = self._bids.ticks[::-1], self._asks.ticks
         nb, na = len(bid_ticks), len(ask_ticks)
         row = np.array([step, nb, *bid_ticks,
-                        *map(bids.level_shares.get, bid_ticks),
-                        na, *ask_ticks, *map(asks.level_shares.get, ask_ticks)],
+                        *[bids[t].shares for t in bid_ticks],
+                        na, *ask_ticks, *[asks[t].shares for t in ask_ticks]],
                        dtype=np.int64)
         a = 2 * nb + 3  # the first ask tick
         return Depth(self.tick_size, row[:1], row[1:2], row[2:nb + 2],

@@ -291,6 +291,10 @@ def calibrate_c(
     """
     if target_tpm <= 0:
         raise ValueError("target_tpm must be positive")
+    try:
+        n_seeds = operator.index(n_seeds)
+    except TypeError:
+        raise ValueError(f"n_seeds = {n_seeds!r} is not a valid int") from None
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     c = probe_config.c

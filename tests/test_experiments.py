@@ -1,6 +1,7 @@
 """Scenario orchestration, pooling determinism, config files, CLI."""
 
 import multiprocessing
+import re
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -96,6 +97,8 @@ def test_resolve_workers():
     for bad in (0, -2):
         with pytest.raises(ValueError, match="^workers must"):
             experiments._resolve_workers(bad, 8)
+    with pytest.raises(ValueError, match=r"^workers = 1\.5 is not a valid int$"):
+        experiments._resolve_workers(1.5, 8)
     with pytest.raises(ValueError, match="^workers must"):
         run_scenario(tiny_scenario(), workers=0)
 
@@ -150,6 +153,12 @@ def test_scenario_validation(tmp_path):
             replace(tiny_scenario(), **{field: value})
     with pytest.raises(ValueError, match="impact_side = 'up' is not a valid Side"):
         replace(tiny_scenario(), impact_side="up")
+    # a name is a directory under out_dir and a line of scenario.cfg
+    for name in ("", "../escape", "/tmp/x", "a/b", ".", "..", "x#1", " x",
+                 "x ", "a\nb", "a\rb", "a\u2028b"):
+        with pytest.raises(ValueError, match=f"^name = {re.escape(repr(name))} "
+                                             "is not a valid scenario name"):
+            tiny_scenario(name=name)
     path = tmp_path / "zero_volume.cfg"
     path.write_text("name = z\ntrader.a.count = 5\nimpact_volumes = 0\n")
     with pytest.raises(ValueError, match="impact_volumes"):

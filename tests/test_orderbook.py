@@ -102,12 +102,16 @@ def test_bad_limit_rejected():
     ("expires", (2, Side.BUY, 1005, 10, 0, float("nan"))),
     ("expires", (2, Side.BUY, 1005, 10, 0, 2.5)),
     ("expires", (2, Side.BUY, 1005, 10, 0, None)),
+    ("step", (2, Side.BUY, 1005, 10, None)),
+    ("step", (2, Side.BUY, 1005, 10, 2.5)),
+    ("step", (2, Side.BUY, 1005, 10, float("nan"))),
 ])
 def test_non_integer_fields_rejected(name, order):
     """A fractional tick or share count would rest and then show
-    truncated in snapshots, and a NaN expiry would top the expiry heap
-    and keep every order behind it resting: each is refused, naming the
-    field, and the book and the next id are as before."""
+    truncated in snapshots, a NaN expiry would top the expiry heap and
+    keep every order behind it resting, and a NaN step would pass the
+    expiry check: each is refused, naming the field, and the book and
+    the next id are as before."""
     book = OrderBook()
     book.submit(*limit(1, Side.SELL, 1005, 3))  # a fractional buy would cross
     with pytest.raises(OrderRejected, match=f"order {name} must be an integer"):
@@ -124,9 +128,9 @@ def test_numpy_integer_fields_enter_as_python_ints():
     fills, rested = book.submit(np.uint16(2), Side.BUY, np.int64(1006),
                                 np.uint8(4), 0, np.int32(10**9))
     assert fills == [(1005, 4, 1)] and rested is None
-    (resting,) = book._asks.levels[1005]  # [expires, id, shares, tick, side]
-    values = [*fills[0], book.best_ask(), *book._asks.level_shares.values(),
-              *resting[:4]]
+    level = book._asks.levels[1005]
+    (resting,) = level  # [expires, id, shares, tick, side]
+    values = [*fills[0], book.best_ask(), level.shares, *resting[:4]]
     assert all(type(v) is int for v in values)
 
 
@@ -479,30 +483,31 @@ def check_book_invariants(book, expired_through=None):
     """The book's records agree with its queues.
 
     Per side: no queue is empty, and every queued order is a live list
-    ``[expires, id, shares, tick, side]`` of its level's tick and side
-    with shares >= 1; every level's shares sum its queue; ``ticks`` is
-    strictly ascending and holds exactly the occupied ticks, and
-    ``best`` is its first ask or last bid (None when it is empty). Then:
+    ``[expires, id, shares, tick, side]`` of its level's tick, whose
+    ``side`` is the book side it rests on, with shares >= 1; every
+    level's shares sum its queue; ``ticks`` is strictly ascending and
+    holds exactly the occupied ticks, and the best bid and ask are its
+    last bid and first ask (None when a side is empty). Then:
     the book is not crossed, ids are unique, the heap's live entries
     (shares >= 1) are exactly the queued orders, every other entry is a
     filled order (shares 0), and (with ``expired_through``) no queued
     order is due by that step.
     """
     queued = []
-    for side, book_side in ((Side.BUY, book._bids), (Side.SELL, book._asks)):
-        assert book_side.levels.keys() == book_side.level_shares.keys()
+    for book_side, best in ((book._bids, book.best_bid()),
+                            (book._asks, book.best_ask())):
         for tick, queue in book_side.levels.items():
             assert queue, f"empty queue at tick {tick}"
             assert all(type(o) is list and len(o) == 5 for o in queue)
-            assert all(o[3] == tick and o[4] is side and o[2] >= 1
+            assert all(o[3] == tick and o[4] is book_side and o[2] >= 1
                        for o in queue)
-            assert book_side.level_shares[tick] == sum(o[2] for o in queue)
+            assert queue.shares == sum(o[2] for o in queue)
             queued += queue
         ticks = book_side.ticks
         assert all(a < b for a, b in zip(ticks, ticks[1:]))
         assert set(ticks) == book_side.levels.keys()
-        best = ticks[0 if book_side.sign > 0 else -1] if ticks else None
-        assert book_side.best == best
+        assert best == (ticks[0 if book_side.sign > 0 else -1]
+                        if ticks else None)
     bid, ask = book.best_bid(), book.best_ask()
     assert bid is None or ask is None or bid < ask
     assert len({o[1] for o in queued}) == len(queued)

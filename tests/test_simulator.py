@@ -479,7 +479,7 @@ def test_calibrate_interpolates_when_it_straddles_the_target(monkeypatch):
 def test_calibrate_rejects_bad_target():
     with pytest.raises(ValueError):
         calibrate_c(0.0, small_config())
-    for n_seeds in (0, -1):
+    for n_seeds in (0, -1, 1.5):
         with pytest.raises(ValueError, match="n_seeds"):
             calibrate_c(5.4, small_config(), n_seeds=n_seeds)
 
