@@ -10,7 +10,7 @@ distributions), impact (virtual market impact curves), experiments
 (seed fan-out, sweeps, CSV emission), cli.
 """
 
-from .agents import TraderKind, TraderSpec
+from .agents import TraderSpec
 from .impact import ImpactCurve, curve_distance, impact_distribution, quantile_volumes
 from .orderbook import (
     Depth,
@@ -45,7 +45,6 @@ __all__ = [
     "SimOutput",
     "SweepResult",
     "SweepRow",
-    "TraderKind",
     "TraderSpec",
     "bigtrader_scenario",
     "calibrate_c",

@@ -1,11 +1,12 @@
 """Trader behaviors: the draws of every activation, as columns.
 
-Two trader kinds share one rule set. A trader activates, flips a fair
+Every trader follows one rule set. A trader activates, flips a fair
 coin for side, draws a limit price from a normal centered on the best
 price of its own side (best bid for buys, best ask for sells), an
 exponential order size scaled by kappa, an exponential lifetime, and an
-exponential waiting time to its next activation. RandomTrader has
-kappa = 1; BigTrader scales its order sizes by kappa.
+exponential waiting time to its next activation. A group of traders is
+its count, kappa, lifetime and price width: RandomTraders have kappa = 1,
+and BigTraders are a group with kappa > 1.
 
 Only the price center depends on the book: ``activations`` draws the
 rest ahead of the run, ``WINDOW`` steps at a time, and ``act`` centers
@@ -18,12 +19,10 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "TraderKind",
     "TraderSpec",
     "WINDOW",
     "activations",
@@ -36,11 +35,6 @@ __all__ = [
 MIN_RECOMMENDED_LIFETIME = 40.0
 
 WINDOW = 8192  # steps whose activations are drawn at once
-
-
-class TraderKind(Enum):
-    RANDOM = "random"
-    BIG = "big"
 
 
 def cast_fields(obj, casts: dict, each=()) -> None:
@@ -66,22 +60,19 @@ def cast_fields(obj, casts: dict, each=()) -> None:
 class TraderSpec:
     """Parameters shared by one group of identical traders."""
 
-    kind: TraderKind = TraderKind.RANDOM
     count: int = 300
     kappa: float = 1.0
     mu_lifetime: float = 120.0
     sigma_price: float = 0.5
 
     def __post_init__(self):
-        cast_fields(self, {"kind": TraderKind, "count": operator.index,
+        cast_fields(self, {"count": operator.index,
                            **dict.fromkeys(("kappa", "mu_lifetime",
                                             "sigma_price"), float)})
         if self.count < 1:
             raise ValueError("trader count must be >= 1")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if self.kind is TraderKind.RANDOM and self.kappa != 1.0:
-            raise ValueError("RandomTrader has kappa fixed at 1")
         if self.mu_lifetime <= 0:
             raise ValueError("mu_lifetime must be positive")
         if self.mu_lifetime <= MIN_RECOMMENDED_LIFETIME:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .agents import TraderKind, TraderSpec, cast_fields
+from .agents import TraderSpec, cast_fields
 from .impact import (ImpactCurve, add_counts, impact_distribution,
                      quantile_volumes)
 from .orderbook import Depth, Side
@@ -382,7 +382,8 @@ def with_lifetime(scenario: Scenario, mu_lt: float) -> Scenario:
 
 
 def bigtrader_scenario(base: Scenario, kappa: float, n_big: int) -> Scenario:
-    """Base population plus ``n_big`` large-order traders.
+    """Base population plus a group of ``n_big`` BigTraders, whose order
+    sizes are scaled by ``kappa``.
 
     The added group inherits lifetime and placement width from the
     base's first trader group; every other parameter (and the seed
@@ -397,7 +398,6 @@ def bigtrader_scenario(base: Scenario, kappa: float, n_big: int) -> Scenario:
         return replace(base, name=name)
     template = base.config.trader_specs[0]
     big = TraderSpec(
-        kind=TraderKind.BIG,
         count=n_big,
         kappa=float(kappa),
         mu_lifetime=template.mu_lifetime,
@@ -603,8 +603,8 @@ _SCENARIO_KEYS = {"outputs": str, "vol_window": int, "impact_quantiles": float,
                   "impact_side": Side, "impact_censored": str,
                   "impact_volumes": int}
 # trader.<group>.<key>: TraderSpec fields
-_TRADER_KEYS = {"kind": TraderKind, "count": int, "kappa": float,
-                "mu_lifetime": float, "sigma_price": float}
+_TRADER_KEYS = {"count": int, "kappa": float, "mu_lifetime": float,
+                "sigma_price": float}
 # keys whose values are comma-separated lists
 _LIST_KEYS = frozenset({"seeds", "outputs", "impact_quantiles", "impact_volumes"})
 

@@ -289,8 +289,9 @@ def calibrate_c(
 
     Raises RuntimeError after CALIBRATION_MAX_PROBES measurements.
     """
-    if target_tpm <= 0:
-        raise ValueError("target_tpm must be positive")
+    if not 0 < target_tpm < math.inf:  # nan fails too
+        raise ValueError(
+            f"target_tpm must be positive and finite, got {target_tpm}")
     try:
         n_seeds = operator.index(n_seeds)
     except TypeError:

@@ -157,7 +157,9 @@ class MomentAccumulator:
     Each ``add`` computes the batch's own central sums vectorized and
     merges them into the running sums with the pairwise update, so a
     sequence of batches pools exactly (batch order aside, to rounding)
-    and pooled mean/std/kurtosis never require the raw samples.
+    and pooled moments never require the raw samples. It holds the
+    sample count ``n``, the mean ``m1`` and the central sums ``m2``,
+    ``m3``, ``m4`` (the sums of (x - m1)**k; the variance is m2 / n).
     """
 
     __slots__ = ("n", "m1", "m2", "m3", "m4")
@@ -202,22 +204,6 @@ class MomentAccumulator:
         self.m1 += d_n * nb
         self.n, self.m2, self.m3, self.m4 = n, m2, m3, m4
         return self
-
-    @property
-    def count(self) -> int:
-        return self.n
-
-    @property
-    def mean(self) -> float:
-        return self.m1
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.n if self.n else float("nan")
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
 
     @property
     def excess_kurtosis(self) -> float:

@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import ks_2samp, kstest, lognorm, spearmanr
 
 from lobsim import stats
-from lobsim.agents import TraderKind, TraderSpec
+from lobsim.agents import TraderSpec
 from lobsim.experiments import (
     Scenario,
     bigtrader_scenario,
@@ -117,8 +117,7 @@ def pooled_snapshots(result) -> Depth:
 def bigtrader_k5(calibrate):
     """The kappa=5 BigTrader scenario defining the traded-volume quantiles."""
     specs = (TraderSpec(mu_lifetime=1200.0),
-             TraderSpec(kind=TraderKind.BIG, count=30, kappa=5.0,
-                        mu_lifetime=1200.0))
+             TraderSpec(count=30, kappa=5.0, mu_lifetime=1200.0))
     cfg = SimConfig(trader_specs=specs, c=calibrate(specs), horizon_T=HORIZON,
                     snapshot_interval=60, seed=0)
     scen = Scenario(
@@ -134,8 +133,7 @@ def bigtrader_k8(calibrate):
     """300 RandomTraders plus 30 BigTraders trading kappa > 5 larger volumes."""
     kappa = 8.0
     specs = (TraderSpec(mu_lifetime=1200.0),
-             TraderSpec(kind=TraderKind.BIG, count=30, kappa=kappa,
-                        mu_lifetime=1200.0))
+             TraderSpec(count=30, kappa=kappa, mu_lifetime=1200.0))
     base_cfg = SimConfig(trader_specs=rt_specs(1200.0), c=calibrate(specs),
                          horizon_T=HORIZON, seed=0)
     base = Scenario(name="big1200", config=base_cfg, seeds=seed_range(6006, 96))

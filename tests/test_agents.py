@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lobsim.agents as agents
-from lobsim.agents import TraderKind, TraderSpec, act, activations
+from lobsim.agents import TraderSpec, act, activations
 from lobsim.orderbook import OrderBook, Side
 from lobsim.simulator import SimConfig
 
@@ -163,8 +163,7 @@ def test_waiting_time_distribution(rng):
 def test_act_gaps_match_exponential(rng):
     # every group waits Exp(c*N), whatever its own parameters
     specs = (TraderSpec(count=6, mu_lifetime=300.0),
-             TraderSpec(kind=TraderKind.BIG, count=4, kappa=5.0,
-                        sigma_price=2.0))
+             TraderSpec(count=4, kappa=5.0, sigma_price=2.0))
     columns = _columns(rng, specs=specs, c=2.0, horizon=200_000)
     waits, _ = trader_gaps(columns["step"], columns["trader"])
     big = np.sort(columns["trader"]) >= 6  # gaps come trader by trader
@@ -235,14 +234,14 @@ def test_volume_mean_random_trader(rng):
 
 
 def test_volume_mean_scaled(rng):
-    spec = TraderSpec(kind=TraderKind.BIG, count=10, kappa=5.0)
+    spec = TraderSpec(count=10, kappa=5.0)
     shares = _columns(rng, specs=(spec,), c=0.5, horizon=60_000)["shares"]
     assert shares.mean() == pytest.approx(50.0, rel=0.02)
 
 
 def test_volume_distribution(rng):
     mu = 3.0 * 10.0
-    spec = TraderSpec(kind=TraderKind.BIG, count=10, kappa=3.0)
+    spec = TraderSpec(count=10, kappa=3.0)
     shares = _columns(rng, specs=(spec,), c=0.5, horizon=100_000)["shares"]
     # nearest int of Exp(mu), at least 1: P(V <= k) = 1 - exp(-(k + 1/2)/mu)
     d = discrete_ks(shares, lambda k: 1.0 - np.exp(-(k + 0.5) / mu))
@@ -259,8 +258,8 @@ def test_volume_clamped_to_one(rng):
 
 def test_rows_scaled_by_their_group(rng):
     specs = (TraderSpec(count=5, mu_lifetime=100.0, sigma_price=0.5),
-             TraderSpec(kind=TraderKind.BIG, count=5, kappa=4.0,
-                        mu_lifetime=400.0, sigma_price=2.0))
+             TraderSpec(count=5, kappa=4.0, mu_lifetime=400.0,
+                        sigma_price=2.0))
     columns = _columns(rng, specs=specs, c=0.5, horizon=40_000)
     big = columns["trader"] >= 5
     for rows, spec in ((~big, specs[0]), (big, specs[1])):
@@ -342,25 +341,22 @@ def test_marketable_fraction_half_when_sigma_dominates_spread(rng):
 def test_trader_spec_validation():
     with pytest.raises(ValueError):
         TraderSpec(count=0)
-    with pytest.raises(ValueError):
-        TraderSpec(kind=TraderKind.RANDOM, kappa=2.0)
-    with pytest.raises(ValueError):
-        TraderSpec(kappa=0.5, kind=TraderKind.BIG)
+    with pytest.raises(ValueError, match="kappa must be >= 1"):
+        TraderSpec(kappa=0.5)
+    with pytest.raises(ValueError, match="mu_lifetime must be positive"):
+        TraderSpec(mu_lifetime=0.0)
     with pytest.raises(ValueError):
         TraderSpec(sigma_price=0.0)
     for field, value in [("mu_lifetime", math.inf), ("sigma_price", math.nan),
                          ("kappa", math.nan), ("kappa", math.inf)]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            TraderSpec(kind=TraderKind.BIG, **{field: value})
+            TraderSpec(**{field: value})
     with pytest.raises(ValueError, match=r"count = 2\.5 is not a valid int"):
         TraderSpec(count=2.5)
-    with pytest.raises(ValueError, match="kind = 'huge' is not a valid TraderKind"):
-        TraderSpec(kind="huge")
-    spec = TraderSpec(kind="big", count=np.int64(30), kappa=np.float64(5.0),
+    spec = TraderSpec(count=np.int64(30), kappa=np.float64(5.0),
                       mu_lifetime=1200)
-    assert spec == TraderSpec(kind=TraderKind.BIG, count=30, kappa=5.0,
-                              mu_lifetime=1200.0)
+    assert spec == TraderSpec(count=30, kappa=5.0, mu_lifetime=1200.0)
     assert (type(spec.count), type(spec.kappa), type(spec.mu_lifetime)) == (
         int, float, float)
-    spec = TraderSpec(kind=TraderKind.BIG, count=30, kappa=5.0, mu_lifetime=1200.0)
+    spec = TraderSpec(count=30, kappa=5.0, mu_lifetime=1200.0)
     assert spec.kappa == 5.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lobsim.agents import TraderKind, TraderSpec
+from lobsim.agents import TraderSpec
 from lobsim.cli import main
 from lobsim.experiments import (
     Scenario,
@@ -153,6 +153,13 @@ def test_scenario_validation(tmp_path):
             replace(tiny_scenario(), **{field: value})
     with pytest.raises(ValueError, match="impact_side = 'up' is not a valid Side"):
         replace(tiny_scenario(), impact_side="up")
+    with pytest.raises(ValueError,
+                       match="impact_censored must be 'exclude' or 'saturate'"):
+        replace(tiny_scenario(), impact_censored="drop")
+    for kappa, n_big, match in ((0.5, 10, "kappa must be >= 1"),
+                                (5.0, -1, "n_big must be >= 0")):
+        with pytest.raises(ValueError, match=match):
+            bigtrader_scenario(tiny_scenario(), kappa=kappa, n_big=n_big)
     # a name is a directory under out_dir and a line of scenario.cfg
     for name in ("", "../escape", "/tmp/x", "a/b", ".", "..", "x#1", " x",
                  "x ", "a\nb", "a\rb", "a\u2028b"):
@@ -483,8 +490,7 @@ def test_bigtrader_kappa_one_equals_bigger_random_population():
 def test_bigtrader_adds_group():
     scen = bigtrader_scenario(tiny_scenario(), kappa=5.0, n_big=30)
     big = scen.config.trader_specs[-1]
-    assert big.kind is TraderKind.BIG
-    assert big.count == 30 and big.kappa == 5.0
+    assert big == TraderSpec(count=30, kappa=5.0, mu_lifetime=120.0)
     assert scen.config.n_traders == 80
 
 
@@ -561,6 +567,8 @@ def test_lifetime_sweep_single_row(tmp_path):
 # ----------------------------------------------------------------------
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 CONFIG_TEXT = """
 # demo scenario
 name = demo
@@ -571,7 +579,6 @@ horizon = 15000
 warmup = 1200
 trader.random.count = 50
 trader.random.mu_lifetime = 120
-trader.big.kind = big
 trader.big.count = 10
 trader.big.kappa = 5.0
 trader.big.mu_lifetime = 120
@@ -586,15 +593,14 @@ def test_config_parsing(tmp_path):
     assert scen.seeds == tuple(derive_seed(7, i) for i in range(3))
     assert len(scen.config.trader_specs) == 2
     big = scen.config.trader_specs[0]  # groups sorted by name: big < random
-    assert big.kind is TraderKind.BIG and big.kappa == 5.0
+    assert big == TraderSpec(count=10, kappa=5.0, mu_lifetime=120.0)
     assert scen.config.c == 5.0
 
 
 def test_config_round_trip(tmp_path):
-    # every key away from its default, a BIG group with its own kappa
+    # every key away from its default, a second group with its own kappa
     # and sigma, and no outputs at all
-    big = TraderSpec(kind=TraderKind.BIG, count=7, kappa=2.5,
-                     mu_lifetime=300.0, sigma_price=0.75)
+    big = TraderSpec(count=7, kappa=2.5, mu_lifetime=300.0, sigma_price=0.75)
     scen = replace(
         tiny_scenario(c=5.5, mu_vol=12.5, tick_size=0.05, start_price=50.0,
                       snapshot_interval=30, seed=9, steps_per_minute=30),
@@ -623,13 +629,20 @@ def test_config_round_trip(tmp_path):
         assert scenario_from_config(path) == case
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_shipped_config_round_trips(tmp_path, path):
+    scen = scenario_from_config(path)
+    write_config(scen, tmp_path / "copy.cfg")
+    assert scenario_from_config(tmp_path / "copy.cfg") == scen
+
+
 def test_config_text_is_pinned(tmp_path):
     scen = Scenario(
         name="pin",
         config=SimConfig(
             trader_specs=(TraderSpec(count=40, mu_lifetime=120.0),
-                          TraderSpec(kind=TraderKind.BIG, count=4, kappa=5.0,
-                                     mu_lifetime=120.0)),
+                          TraderSpec(count=4, kappa=5.0, mu_lifetime=120.0)),
             c=5.045, horizon_T=20_000, snapshot_interval=60, seed=3),
         seeds=(11, 4),
         outputs=frozenset({"snapshots", "impact_curves", "return_pdf"}),
@@ -656,12 +669,10 @@ impact_quantiles = 0.1, 0.5, 0.9, 0.99
 impact_side = sell
 impact_censored = exclude
 impact_volumes = 160, 10
-trader.g00.kind = random
 trader.g00.count = 40
 trader.g00.kappa = 1.0
 trader.g00.mu_lifetime = 120.0
 trader.g00.sigma_price = 0.5
-trader.g01.kind = big
 trader.g01.count = 4
 trader.g01.kappa = 5.0
 trader.g01.mu_lifetime = 120.0
@@ -707,8 +718,13 @@ def test_config_errors(tmp_path):
         ("name = x\ntrader.a.count = 5\nc = fast\n",
          "c = 'fast' is not a valid float"),
         ("name = x\ntrader.a.count = many\n", "trader.a.count = 'many'"),
-        ("name = x\ntrader.a.count = 5\ntrader.a.kind = huge\n",
-         "trader.a.kind = 'huge'"),
+        # a group is its parameters: there is no kind to set
+        ("name = x\ntrader.a.count = 5\ntrader.a.kind = big\n",
+         r"unknown trader keys for 'a': \['kind'\]"),
+        ("name = x\ntrader.a.count = 5\ntrader.a.b.kappa = 2\n",
+         "bad trader key 'trader.a.b.kappa'"),
+        ("name = x\ntrader.a.count = 5\nhorizon 5000\n",
+         "bad.cfg:3: expected 'key = value'"),
         ("name = x\ntrader.a.count = 5\nseeds = 1, two\n", "seeds = 'two'"),
         ("name = x\ntrader.a.count = 5\nseeds = -3\n",
          r"^scenario seeds must be >= 0, got \(-3,\)$"),
@@ -780,6 +796,10 @@ def test_cli_list_flags_name_themselves(demo_config, capsys):
          "--lifetimes = 'x' is not a valid float"),
         (["sweep", "--lifetimes", "120,120.5"],
          "error: lifetimes 120.0 and 120.5 share the scenario name demo_lt120"),
+        (["calibrate", "--target-tpm", "inf"],
+         "error: target_tpm must be positive and finite, got inf"),
+        (["sweep", "--lifetimes", "120", "--target-tpm", "nan"],
+         "error: target_tpm must be positive and finite, got nan"),
     ):
         command, *flags = argv
         assert main([command, str(demo_config), *flags, "--workers", "1"]) == 1

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lobsim.agents import TraderKind, TraderSpec, activations
+from lobsim.agents import TraderSpec, activations
 from lobsim.experiments import post_warmup_prices
 from lobsim.orderbook import Depth, OrderBook
 from lobsim.simulator import (
@@ -192,8 +192,8 @@ def test_series_on_a_crossing_book(monkeypatch):
     import lobsim.simulator as simulator
 
     cfg = SimConfig(trader_specs=(TraderSpec(count=40, mu_lifetime=60.0),
-                                  TraderSpec(kind=TraderKind.BIG, count=10,
-                                             kappa=5.0, mu_lifetime=60.0)),
+                                  TraderSpec(count=10, kappa=5.0,
+                                             mu_lifetime=60.0)),
                     c=0.5, horizon_T=6000, warmup=0, seed=22)
     rested = {}  # id -> (its expiry, its shares when it came to rest)
     left = {}  # id -> its shares still unfilled, once it rested
@@ -288,6 +288,15 @@ def test_config_validation():
         small_config(horizon_T=100, warmup=100)
     with pytest.raises(ValueError):
         small_config(steps_per_minute=0)
+    for field, value, match in [
+        ("mu_vol", 0.0, "mu_vol must be positive"),
+        ("tick_size", -0.1, "tick_size and start_price must be positive"),
+        ("start_price", 0.0, "tick_size and start_price must be positive"),
+        ("snapshot_interval", -60, "snapshot_interval must be >= 0"),
+        ("warmup", -1, "warmup must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            small_config(**{field: value})
     for field, value in [("c", math.nan), ("c", math.inf), ("mu_vol", math.nan),
                          ("tick_size", math.inf), ("start_price", math.nan)]:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -477,8 +486,10 @@ def test_calibrate_interpolates_when_it_straddles_the_target(monkeypatch):
 
 
 def test_calibrate_rejects_bad_target():
-    with pytest.raises(ValueError):
-        calibrate_c(0.0, small_config())
+    # |tpm - inf| <= tol * inf holds for any tpm: inf would pass as met
+    for target in (0.0, -5.4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="target_tpm"):
+            calibrate_c(target, small_config())
     for n_seeds in (0, -1, 1.5):
         with pytest.raises(ValueError, match="n_seeds"):
             calibrate_c(5.4, small_config(), n_seeds=n_seeds)

@@ -27,6 +27,11 @@ def two_pass_moments(values):
     return mean, std, n * s4 / s2**2 - 3.0
 
 
+def mean_std(acc):
+    """An accumulator's mean and standard deviation, from its sums."""
+    return acc.m1, math.sqrt(acc.m2 / acc.n)
+
+
 # ----------------------------------------------------------------------
 # returns
 # ----------------------------------------------------------------------
@@ -262,6 +267,9 @@ def test_ccdf_counts_validation():
         stats.estimate_ccdf([1.0, 2.0], [3, -1])
     with pytest.raises(ValueError, match="no samples"):
         stats.estimate_ccdf([1.0, 2.0], [0, 0])
+    with pytest.raises(ValueError,
+                       match="cannot estimate a density from no samples"):
+        stats.estimate_pdf([])
 
 
 def test_ccdf_min_value_convention(rng):
@@ -294,6 +302,8 @@ def test_lognormal_constant_sample():
 def test_lognormal_rejects_nonpositive():
     with pytest.raises(ValueError):
         stats.lognormal_reference(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="no volatilities to fit"):
+        stats.lognormal_reference(np.array([]))
 
 
 # ----------------------------------------------------------------------
@@ -305,10 +315,9 @@ def test_accumulator_matches_two_pass(rng):
     values = rng.gamma(2.0, 1.5, 100_000)
     acc = stats.MomentAccumulator().add(values)
     mean, std, kurt = two_pass_moments(values.tolist())
-    assert acc.mean == pytest.approx(mean, rel=1e-10)
-    assert acc.std == pytest.approx(std, rel=1e-10)
+    assert mean_std(acc) == pytest.approx((mean, std), rel=1e-10)
     assert acc.excess_kurtosis == pytest.approx(kurt, rel=1e-10)
-    assert acc.count == values.size
+    assert acc.n == values.size
 
 
 def test_accumulator_merge_equals_pooled(rng):
@@ -317,9 +326,8 @@ def test_accumulator_merge_equals_pooled(rng):
     merged = stats.MomentAccumulator()
     for part in parts:
         merged.add(part)
-    assert merged.count == pooled.count
-    assert merged.mean == pytest.approx(pooled.mean, rel=1e-12)
-    assert merged.std == pytest.approx(pooled.std, rel=1e-12)
+    assert merged.n == pooled.n
+    assert mean_std(merged) == pytest.approx(mean_std(pooled), rel=1e-12)
     assert merged.excess_kurtosis == pytest.approx(pooled.excess_kurtosis, rel=1e-9)
 
 
@@ -350,8 +358,7 @@ def test_accumulator_property_matches_moments(values):
         return
     acc = stats.MomentAccumulator().add(arr)
     mean, std, kurt = two_pass_moments(values)
-    assert acc.mean == pytest.approx(mean, rel=1e-8, abs=1e-8)
-    assert acc.std == pytest.approx(std, rel=1e-8, abs=1e-8)
+    assert mean_std(acc) == pytest.approx((mean, std), rel=1e-8, abs=1e-8)
     # kurtosis is nan in both when the squared variance underflows
     assert acc.excess_kurtosis == pytest.approx(
         kurt, rel=1e-6, abs=1e-6, nan_ok=True
