@@ -24,7 +24,6 @@ from .experiments import (
     ScenarioResult,
     SweepResult,
     SweepRow,
-    bigtrader_scenario,
     lifetime_sweep,
     run_scenario,
     scenario_from_config,
@@ -46,7 +45,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "TraderSpec",
-    "bigtrader_scenario",
     "calibrate_c",
     "curve_distance",
     "derive_seed",

@@ -49,7 +49,6 @@ __all__ = [
     "SweepResult",
     "run_scenario",
     "lifetime_sweep",
-    "bigtrader_scenario",
     "scenario_from_config",
     "write_config",
     "worker_pool",
@@ -81,6 +80,9 @@ class Scenario:
     impact_censored: str = "exclude"
 
     def __post_init__(self):
+        if isinstance(self.outputs, str):  # else one output per character
+            raise ValueError(f"outputs = {self.outputs!r} is not a collection "
+                             "of output names")
         cast_fields(self, {"seeds": operator.index, "outputs": frozenset,
                            "vol_window": operator.index,
                            "impact_volumes": operator.index,
@@ -110,6 +112,10 @@ class Scenario:
             raise ValueError(
                 f"impact_quantiles must lie in (0, 1), got {self.impact_quantiles}"
             )
+        if ("impact_curves" in self.outputs and not self.impact_volumes
+                and not self.impact_quantiles):
+            raise ValueError("impact_curves needs impact_volumes or "
+                             "impact_quantiles; both are empty")
         if any(seed < 0 for seed in self.seeds):
             raise ValueError(f"scenario seeds must be >= 0, got {self.seeds}")
         cfg = self.config
@@ -381,32 +387,6 @@ def with_lifetime(scenario: Scenario, mu_lt: float) -> Scenario:
     return replace(scenario, name=f"{scenario.name}_lt{int(mu_lt)}", config=cfg)
 
 
-def bigtrader_scenario(base: Scenario, kappa: float, n_big: int) -> Scenario:
-    """Base population plus a group of ``n_big`` BigTraders, whose order
-    sizes are scaled by ``kappa``.
-
-    The added group inherits lifetime and placement width from the
-    base's first trader group; every other parameter (and the seed
-    list) is shared, so n_big=0 reproduces the base exactly.
-    """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    if n_big < 0:
-        raise ValueError("n_big must be >= 0")
-    name = f"{base.name}_big{n_big}x{kappa:g}"
-    if n_big == 0:
-        return replace(base, name=name)
-    template = base.config.trader_specs[0]
-    big = TraderSpec(
-        count=n_big,
-        kappa=float(kappa),
-        mu_lifetime=template.mu_lifetime,
-        sigma_price=template.sigma_price,
-    )
-    cfg = replace(base.config, trader_specs=base.config.trader_specs + (big,))
-    return replace(base, name=name, config=cfg)
-
-
 def lifetime_sweep(
     base: Scenario,
     lifetimes,
@@ -618,8 +598,13 @@ def _parse(key: str, raw: str, cast):
 
 
 def _parse_list(key: str, raw: str, cast) -> tuple:
-    return tuple(_parse(key, tok.strip(), cast)
-                 for tok in raw.split(",") if tok.strip())
+    """Comma-separated items; an empty value is no items, an empty item fails."""
+    if not raw.strip():
+        return ()
+    items = [tok.strip() for tok in raw.split(",")]
+    if "" in items:
+        raise ValueError(f"{key} = {raw!r} has an empty item")
+    return tuple(_parse(key, tok, cast) for tok in items)
 
 
 def scenario_from_config(path: str | Path) -> Scenario:

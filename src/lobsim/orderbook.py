@@ -114,8 +114,8 @@ class OrderBook:
     """
 
     def __init__(self, tick_size: float = 0.1):
-        if tick_size <= 0:
-            raise ValueError("tick_size must be positive")
+        if not 0 < tick_size < float("inf"):  # nan fails too
+            raise ValueError(f"tick_size must be positive and finite, got {tick_size}")
         self.tick_size = tick_size
         self._bids = _BookSide(sign=-1)
         self._asks = _BookSide(sign=+1)

@@ -81,7 +81,11 @@ class SimConfig:
     steps_per_minute: int = 60
 
     def __post_init__(self):
-        object.__setattr__(self, "trader_specs", tuple(self.trader_specs or ()))
+        specs = self.trader_specs
+        if not (isinstance(specs, (tuple, list))
+                and all(isinstance(s, TraderSpec) for s in specs)):
+            raise ValueError(f"trader_specs = {specs!r} is not a tuple of TraderSpec")
+        object.__setattr__(self, "trader_specs", tuple(specs))
         if self.warmup is None:
             lifetimes = [s.mu_lifetime for s in self.trader_specs]
             object.__setattr__(
@@ -243,8 +247,14 @@ def fan_out(fn, jobs, pool: Executor | None, describe) -> list:
 
 def calibration_probe(config: SimConfig,
                       horizon: int = PROBE_HORIZON) -> SimConfig:
-    """``config`` cut to a probe run: ``horizon`` steps, warmup at most a
-    third of them, no snapshots."""
+    """``config`` cut to a probe run: ``horizon`` (>= 1) steps, warmup at
+    most a third of them, no snapshots."""
+    try:
+        horizon = operator.index(horizon)
+    except TypeError:
+        raise ValueError(f"probe_horizon = {horizon!r} is not a valid int") from None
+    if horizon < 1:
+        raise ValueError(f"probe_horizon must be >= 1, got {horizon}")
     return replace(config, horizon_T=horizon,
                    warmup=min(config.warmup, horizon // 3),
                    snapshot_interval=0)

@@ -18,12 +18,7 @@ from scipy.stats import ks_2samp, kstest, lognorm, spearmanr
 
 from lobsim import stats
 from lobsim.agents import TraderSpec
-from lobsim.experiments import (
-    Scenario,
-    bigtrader_scenario,
-    lifetime_sweep,
-    run_scenario,
-)
+from lobsim.experiments import Scenario, lifetime_sweep, run_scenario
 from lobsim.impact import (add_counts, curve_distance, impact_distribution,
                            quantile_volumes)
 from lobsim.orderbook import Depth, OrderBook, Side
@@ -131,13 +126,12 @@ def bigtrader_k5(calibrate):
 @pytest.fixture(scope="session")
 def bigtrader_k8(calibrate):
     """300 RandomTraders plus 30 BigTraders trading kappa > 5 larger volumes."""
-    kappa = 8.0
     specs = (TraderSpec(mu_lifetime=1200.0),
-             TraderSpec(count=30, kappa=kappa, mu_lifetime=1200.0))
-    base_cfg = SimConfig(trader_specs=rt_specs(1200.0), c=calibrate(specs),
-                         horizon_T=HORIZON, seed=0)
-    base = Scenario(name="big1200", config=base_cfg, seeds=seed_range(6006, 96))
-    return run_scenario(bigtrader_scenario(base, kappa=kappa, n_big=30))
+             TraderSpec(count=30, kappa=8.0, mu_lifetime=1200.0))
+    cfg = SimConfig(trader_specs=specs, c=calibrate(specs), horizon_T=HORIZON,
+                    seed=0)
+    scen = Scenario(name="big1200", config=cfg, seeds=seed_range(6006, 96))
+    return run_scenario(scen)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from lobsim.agents import TraderSpec
 from lobsim.cli import main
 from lobsim.experiments import (
     Scenario,
-    bigtrader_scenario,
     lifetime_sweep,
     run_scenario,
     scenario_from_config,
@@ -142,6 +141,17 @@ def test_scenario_validation(tmp_path):
         tiny_scenario(seeds=(1, 1))
     with pytest.raises(ValueError):
         replace(tiny_scenario(), outputs=frozenset({"nope"}))
+    # a str is one name, not a collection of one-character names
+    with pytest.raises(ValueError, match="^outputs = 'return_pdf' is not a "
+                                         "collection of output names$"):
+        replace(tiny_scenario(), outputs="return_pdf")
+    # impact curves with no volume to walk would run every seed for nothing
+    impact = replace(tiny_scenario(), outputs=frozenset({"impact_curves"}))
+    with pytest.raises(ValueError, match="^impact_curves needs impact_volumes "
+                                         "or impact_quantiles; both are empty$"):
+        replace(impact, impact_quantiles=())
+    replace(impact, impact_quantiles=(), impact_volumes=(10,))
+    replace(tiny_scenario(), impact_quantiles=())  # not read without impact_curves
     with pytest.raises(ValueError, match="impact_volumes"):
         replace(tiny_scenario(), impact_volumes=(0, -3))
     for quantiles in ((1.5,), (0.0, 0.5), (float("nan"),)):
@@ -156,10 +166,6 @@ def test_scenario_validation(tmp_path):
     with pytest.raises(ValueError,
                        match="impact_censored must be 'exclude' or 'saturate'"):
         replace(tiny_scenario(), impact_censored="drop")
-    for kappa, n_big, match in ((0.5, 10, "kappa must be >= 1"),
-                                (5.0, -1, "n_big must be >= 0")):
-        with pytest.raises(ValueError, match=match):
-            bigtrader_scenario(tiny_scenario(), kappa=kappa, n_big=n_big)
     # a name is a directory under out_dir and a line of scenario.cfg
     for name in ("", "../escape", "/tmp/x", "a/b", ".", "..", "x#1", " x",
                  "x ", "a\nb", "a\rb", "a\u2028b"):
@@ -463,37 +469,6 @@ def test_with_lifetime_recomputes_warmup():
     assert all(s.mu_lifetime == 240.0 for s in swept.config.trader_specs)
 
 
-def test_bigtrader_zero_is_base():
-    base = tiny_scenario()
-    same = bigtrader_scenario(base, kappa=5.0, n_big=0)
-    assert same.config == base.config
-    out_a = run(replace(base.config, seed=4))
-    out_b = run(replace(same.config, seed=4))
-    assert np.array_equal(out_a.trade_tape, out_b.trade_tape)
-
-
-def test_bigtrader_kappa_one_equals_bigger_random_population():
-    """kappa=1 BigTraders are RandomTraders by definition."""
-    mixed = bigtrader_scenario(tiny_scenario(), kappa=1.0, n_big=10)
-    pure = tiny_scenario(
-        trader_specs=(
-            TraderSpec(count=50, mu_lifetime=120.0),
-            TraderSpec(count=10, mu_lifetime=120.0),
-        )
-    )
-    out_mixed = run(replace(mixed.config, seed=6))
-    out_pure = run(replace(pure.config, seed=6))
-    assert np.array_equal(out_mixed.trade_tape, out_pure.trade_tape)
-    assert (out_mixed.price_series == out_pure.price_series).all()
-
-
-def test_bigtrader_adds_group():
-    scen = bigtrader_scenario(tiny_scenario(), kappa=5.0, n_big=30)
-    big = scen.config.trader_specs[-1]
-    assert big == TraderSpec(count=30, kappa=5.0, mu_lifetime=120.0)
-    assert scen.config.n_traders == 80
-
-
 def test_lifetime_sweep_rows(tmp_path):
     base = tiny_scenario(horizon_T=12_000, warmup=None)
     result = lifetime_sweep(base, [120.0, 600.0], out_dir=tmp_path, workers=1)
@@ -623,7 +598,8 @@ def test_config_round_trip(tmp_path):
                                      replace(big, count=np.int64(7),
                                              kappa=np.float64(2.5)))))
     assert as_numpy == scen
-    for case in (scen, replace(scen, outputs=frozenset()), as_numpy):
+    for case in (scen, replace(scen, outputs=frozenset()),
+                 replace(scen, impact_quantiles=()), as_numpy):
         path = tmp_path / "rt.cfg"
         write_config(case, path)
         assert scenario_from_config(path) == case
@@ -726,6 +702,13 @@ def test_config_errors(tmp_path):
         ("name = x\ntrader.a.count = 5\nhorizon 5000\n",
          "bad.cfg:3: expected 'key = value'"),
         ("name = x\ntrader.a.count = 5\nseeds = 1, two\n", "seeds = 'two'"),
+        # an empty item is a typo, not a value to drop
+        ("name = x\ntrader.a.count = 5\nseeds = 1,,2\n",
+         "^seeds = '1,,2' has an empty item$"),
+        ("name = x\ntrader.a.count = 5\nimpact_quantiles = 0.5,\n",
+         "^impact_quantiles = '0.5,' has an empty item$"),
+        ("name = x\ntrader.a.count = 5\noutputs = impact_curves\n"
+         "impact_quantiles =\n", "impact_volumes or impact_quantiles"),
         ("name = x\ntrader.a.count = 5\nseeds = -3\n",
          r"^scenario seeds must be >= 0, got \(-3,\)$"),
         ("name = x\ntrader.a.count = 5\nimpact_side = up\n",
@@ -792,6 +775,9 @@ def test_cli_list_flags_name_themselves(demo_config, capsys):
         (["impact", "--volumes", "10,abc"], "--volumes = 'abc' is not a valid int"),
         (["impact", "--quantiles", "0.5,q"],
          "--quantiles = 'q' is not a valid float"),
+        (["impact", "--quantiles", ","], "--quantiles = ',' has an empty item"),
+        (["impact", "--quantiles", " "],
+         "error: impact_curves needs impact_volumes or impact_quantiles"),
         (["sweep", "--lifetimes", "120,x"],
          "--lifetimes = 'x' is not a valid float"),
         (["sweep", "--lifetimes", "120,120.5"],
@@ -800,6 +786,8 @@ def test_cli_list_flags_name_themselves(demo_config, capsys):
          "error: target_tpm must be positive and finite, got inf"),
         (["sweep", "--lifetimes", "120", "--target-tpm", "nan"],
          "error: target_tpm must be positive and finite, got nan"),
+        (["calibrate", "--target-tpm", "5.4", "--probe-horizon", "0"],
+         "error: probe_horizon must be >= 1, got 0"),
     ):
         command, *flags = argv
         assert main([command, str(demo_config), *flags, "--workers", "1"]) == 1

@@ -93,8 +93,10 @@ def test_bad_limit_rejected():
         book.submit(*limit(1, Side.BUY, 0, 5))
     with pytest.raises(OrderRejected, match="order expires before placement"):
         book.submit(*limit(1, Side.BUY, 1000, 5, step=10, expires=9))
-    with pytest.raises(ValueError, match="tick_size must be positive"):
-        OrderBook(tick_size=0.0)
+    for tick_size in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match="tick_size must be positive and finite"):
+            OrderBook(tick_size=tick_size)
 
 
 @pytest.mark.parametrize("name, order", [

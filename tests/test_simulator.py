@@ -15,6 +15,7 @@ from lobsim.simulator import (
     SimOutput,
     TAPE_DTYPE,
     calibrate_c,
+    calibration_probe,
     derive_seed,
     run,
 )
@@ -308,6 +309,11 @@ def test_config_validation():
             small_config(**{field: value})
     with pytest.raises(ValueError, match="c = 'fast' is not a valid float"):
         small_config(c="fast")
+    # the groups are a sequence of TraderSpec, not one spec or plain dicts
+    for specs in (TraderSpec(), ({"count": 3},), "abc"):
+        with pytest.raises(ValueError, match="^trader_specs = .* is not a "
+                                             "tuple of TraderSpec$"):
+            small_config(trader_specs=specs)
     cfg = small_config(horizon_T=np.int64(20_000), c=np.float64(5.0), mu_vol=10)
     assert type(cfg.horizon_T) is int and cfg.horizon_T == 20_000
     assert type(cfg.c) is float and type(cfg.mu_vol) is float
@@ -493,6 +499,15 @@ def test_calibrate_rejects_bad_target():
     for n_seeds in (0, -1, 1.5):
         with pytest.raises(ValueError, match="n_seeds"):
             calibrate_c(5.4, small_config(), n_seeds=n_seeds)
+    # named as the probe horizon, not as the horizon_T or warmup it sets
+    for horizon in (0, -5):
+        with pytest.raises(ValueError,
+                           match=f"^probe_horizon must be >= 1, got {horizon}$"):
+            calibration_probe(SimConfig(), horizon)
+    with pytest.raises(ValueError, match="^probe_horizon = 2.5 is not a valid int$"):
+        calibration_probe(SimConfig(), 2.5)
+    probe = calibration_probe(SimConfig(), np.int64(3))
+    assert (probe.horizon_T, probe.warmup) == (3, 1)
 
 
 def test_calibrate_iteration_cap(monkeypatch):
