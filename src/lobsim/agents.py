@@ -11,6 +11,7 @@ and BigTraders are a group with kappa > 1.
 Only the price center depends on the book: ``activations`` draws the
 rest ahead of the run, ``WINDOW`` steps at a time, and ``act`` centers
 one activation's price offset on the book. Equal seeds give equal draws.
+The casts every record and integer argument share live here too.
 """
 
 from __future__ import annotations
@@ -37,23 +38,44 @@ MIN_RECOMMENDED_LIFETIME = 40.0
 WINDOW = 8192  # steps whose activations are drawn at once
 
 
-def cast_fields(obj, casts: dict, each=()) -> None:
-    """Cast the fields of the frozen dataclass ``obj`` named in ``casts``
-    (field -> cast); a field in ``each`` becomes a tuple cast item by item.
-    Ints cast by ``operator.index``, so numpy ints pass and 2.5 fails.
-    A value its cast rejects, or a float that is not finite, raises a
-    ValueError naming the field."""
-    for name, cast in casts.items():
+def cast_value(name: str, value, kind, text: bool = False):
+    """``value`` as ``kind``, else a ValueError naming ``name``. An int
+    casts by ``operator.index``, so numpy ints pass and 2.5 and "5" fail;
+    config ``text`` casts by ``kind`` itself, so "5" passes."""
+    try:
+        return (operator.index if kind is int and not text else kind)(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} = {value!r} is not a valid {kind.__name__}") from None
+
+
+def as_int(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``, else a ValueError
+    naming ``name``."""
+    value = cast_value(name, value, int)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def cast_fields(obj) -> None:
+    """Cast the fields of the frozen dataclass ``obj`` by its class's
+    ``CASTS``: field -> cast, or field -> (item cast, collection) for a
+    field of items. A value its cast rejects, a str or scalar given for
+    a collection, or a float that is not finite raises a ValueError
+    naming the field."""
+    for name, kind in type(obj).CASTS.items():
         value = getattr(obj, name)
-        try:
-            items = tuple(map(cast, value if name in each else (value,)))
-        except (TypeError, ValueError):
-            kind = "int" if cast is operator.index else cast.__name__
-            raise ValueError(
-                f"{name} = {value!r} is not a valid {kind}") from None
-        if cast is float and not all(map(math.isfinite, items)):
+        kind, collection = kind if isinstance(kind, tuple) else (kind, None)
+        if collection and (isinstance(value, str)
+                           or not hasattr(value, "__iter__")):
+            raise ValueError(f"{name} = {value!r} is not a collection")
+        items = [cast_value(name, item, kind)
+                 for item in (value if collection else (value,))]
+        if kind is float and not all(map(math.isfinite, items)):
             raise ValueError(f"{name} must be finite, got {value}")
-        object.__setattr__(obj, name, items if name in each else items[0])
+        object.__setattr__(obj, name,
+                           collection(items) if collection else items[0])
 
 
 @dataclass(frozen=True)
@@ -65,10 +87,12 @@ class TraderSpec:
     mu_lifetime: float = 120.0
     sigma_price: float = 0.5
 
+    # each field's cast; the config keys trader.<group>.<field>, in order
+    CASTS = {"count": int, "kappa": float, "mu_lifetime": float,
+             "sigma_price": float}
+
     def __post_init__(self):
-        cast_fields(self, {"count": operator.index,
-                           **dict.fromkeys(("kappa", "mu_lifetime",
-                                            "sigma_price"), float)})
+        cast_fields(self)
         if self.count < 1:
             raise ValueError("trader count must be >= 1")
         if self.kappa < 1:

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from .experiments import (
     Scenario,
-    _parse_list,
+    _parse,
     lifetime_sweep,
     run_scenario,
     scenario_from_config,
@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
-    lifetimes = _parse_list("--lifetimes", args.lifetimes, float)
+    lifetimes = _parse("--lifetimes", args.lifetimes, (float, tuple))
     result = lifetime_sweep(
         scenario,
         lifetimes,
@@ -80,10 +80,11 @@ def _cmd_impact(args) -> int:
     outputs = set(scenario.outputs) | {"impact_curves"}
     overrides = {"outputs": frozenset(outputs)}
     if args.volumes:
-        overrides["impact_volumes"] = _parse_list("--volumes", args.volumes, int)
+        overrides["impact_volumes"] = _parse("--volumes", args.volumes,
+                                             Scenario.CASTS["impact_volumes"])
     if args.quantiles:
-        overrides["impact_quantiles"] = _parse_list("--quantiles", args.quantiles,
-                                                    float)
+        overrides["impact_quantiles"] = _parse(
+            "--quantiles", args.quantiles, Scenario.CASTS["impact_quantiles"])
         overrides.setdefault("impact_volumes", ())
     if args.censored:
         overrides["impact_censored"] = args.censored

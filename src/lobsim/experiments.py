@@ -20,7 +20,6 @@ use dotted keys like ``trader.random.count``.
 
 from __future__ import annotations
 
-import operator
 import os
 import pickle
 import tempfile
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .agents import TraderSpec, cast_fields
+from .agents import TraderSpec, as_int, cast_fields, cast_value
 from .impact import (ImpactCurve, add_counts, impact_distribution,
                      quantile_volumes)
 from .orderbook import Depth, Side
@@ -79,15 +78,15 @@ class Scenario:
     impact_side: Side = Side.BUY
     impact_censored: str = "exclude"
 
+    # each cast field's cast, in the config file's key order: seeds follow
+    # the name, the SimConfig keys follow the seeds
+    CASTS = {"seeds": (int, tuple), "outputs": (str, frozenset),
+             "vol_window": int, "impact_quantiles": (float, tuple),
+             "impact_side": Side, "impact_censored": str,
+             "impact_volumes": (int, tuple)}
+
     def __post_init__(self):
-        if isinstance(self.outputs, str):  # else one output per character
-            raise ValueError(f"outputs = {self.outputs!r} is not a collection "
-                             "of output names")
-        cast_fields(self, {"seeds": operator.index, "outputs": frozenset,
-                           "vol_window": operator.index,
-                           "impact_volumes": operator.index,
-                           "impact_quantiles": float, "impact_side": Side},
-                    each=("seeds", "impact_volumes", "impact_quantiles"))
+        cast_fields(self)
         # the name is a directory under out_dir and a config line
         name = self.name
         if (not name or name in (".", "..") or name != name.strip()
@@ -264,13 +263,7 @@ def _resolve_workers(workers: int | None, n_jobs: int) -> int:
     """The argument, else the CPU count; at most n_jobs."""
     if workers is None:
         workers = os.cpu_count() or 1
-    try:
-        workers = operator.index(workers)
-    except TypeError:
-        raise ValueError(f"workers = {workers!r} is not a valid int") from None
-    if workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
-    return max(1, min(workers, n_jobs))
+    return max(1, min(as_int("workers", workers, 1), n_jobs))
 
 
 @contextmanager
@@ -571,40 +564,38 @@ def _write_pooled_csvs(scenario_dir: Path, scenario: Scenario,
 # ----------------------------------------------------------------------
 
 
-# Config keys by cast, in the order write_config emits them; unset ones
-# keep the dataclass defaults.
-# SimConfig fields; two keys differ from their field names
-_SIM_KEYS = {**dict.fromkeys(("c", "mu_vol", "tick_size", "start_price"), float),
-             **dict.fromkeys(("horizon", "warmup", "snapshot_interval",
-                              "base_seed", "steps_per_minute"), int)}
-_SIM_FIELDS = {"horizon": "horizon_T", "base_seed": "seed"}
-# Scenario fields
-_SCENARIO_KEYS = {"outputs": str, "vol_window": int, "impact_quantiles": float,
-                  "impact_side": Side, "impact_censored": str,
-                  "impact_volumes": int}
-# trader.<group>.<key>: TraderSpec fields
-_TRADER_KEYS = {"count": int, "kappa": float, "mu_lifetime": float,
-                "sigma_price": float}
-# keys whose values are comma-separated lists
-_LIST_KEYS = frozenset({"seeds", "outputs", "impact_quantiles", "impact_volumes"})
+# the config keys that differ from their SimConfig field names
+_FILE_KEYS = {"horizon_T": "horizon", "seed": "base_seed"}
 
 
 def _parse(key: str, raw: str, cast):
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(
-            f"{key} = {raw!r} is not a valid {cast.__name__}") from None
-
-
-def _parse_list(key: str, raw: str, cast) -> tuple:
-    """Comma-separated items; an empty value is no items, an empty item fails."""
-    if not raw.strip():
-        return ()
-    items = [tok.strip() for tok in raw.split(",")]
+    """A config value (or flag) read by its field's cast. For an (item
+    cast, collection) pair it is comma-separated items: an empty value
+    is no items, an empty item fails."""
+    if not isinstance(cast, tuple):
+        return cast_value(key, raw, cast, text=True)
+    kind, collection = cast
+    items = [tok.strip() for tok in raw.split(",")] if raw.strip() else []
     if "" in items:
         raise ValueError(f"{key} = {raw!r} has an empty item")
-    return tuple(_parse(key, tok, cast) for tok in items)
+    return collection(_parse(key, tok, kind) for tok in items)
+
+
+def _take(entries: dict[str, str], record: type, prefix: str = "") -> dict:
+    """Pop the config keys of ``record``'s cast fields from ``entries``,
+    each value read by its field's cast, as field -> value."""
+    given = {}
+    for name, cast in record.CASTS.items():
+        key = prefix + _FILE_KEYS.get(name, name)
+        if key in entries:
+            given[name] = _parse(key, entries.pop(key), cast)
+    return given
+
+
+def _values(record, prefix: str = "") -> dict:
+    """The config keys of ``record``'s cast fields and their values."""
+    return {prefix + _FILE_KEYS.get(name, name): getattr(record, name)
+            for name in record.CASTS}
 
 
 def scenario_from_config(path: str | Path) -> Scenario:
@@ -622,65 +613,51 @@ def scenario_from_config(path: str | Path) -> Scenario:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         entries[key] = value.strip()
 
-    def take(key, default=None, cast=None):
-        raw = entries.pop(key, None)
-        if raw is None:
-            return default
-        return _parse(key, raw, cast) if cast else raw
-
-    name = take("name")
+    name = entries.pop("name", None)
     if not name:
         raise ValueError("config needs a 'name'")
 
-    groups: dict[str, dict[str, str]] = {}
+    groups: dict[str, list[str]] = {}
     for key in [k for k in entries if k.startswith("trader.")]:
         parts = key.split(".")
         if len(parts) != 3:
             raise ValueError(f"bad trader key {key!r}")
-        groups.setdefault(parts[1], {})[parts[2]] = entries.pop(key)
+        groups.setdefault(parts[1], []).append(parts[2])
     if not groups:
         raise ValueError("config needs at least one trader.<group>.count")
     specs = []
     for gname in sorted(groups):
-        g = groups[gname]
-        unknown = set(g) - set(_TRADER_KEYS)
+        unknown = set(groups[gname]) - set(TraderSpec.CASTS)
         if unknown:
             raise ValueError(f"unknown trader keys for {gname!r}: {sorted(unknown)}")
-        if "count" not in g:
+        if "count" not in groups[gname]:
             raise ValueError(f"trader group {gname!r} needs trader.{gname}.count")
-        specs.append(TraderSpec(**{
-            k: _parse(f"trader.{gname}.{k}", v, _TRADER_KEYS[k])
-            for k, v in g.items()
-        }))
+        specs.append(TraderSpec(**_take(entries, TraderSpec, f"trader.{gname}.")))
+    config = SimConfig(trader_specs=tuple(specs), **_take(entries, SimConfig))
 
-    config = SimConfig(trader_specs=tuple(specs), **{
-        _SIM_FIELDS.get(key, key): _parse(key, entries.pop(key), cast)
-        for key, cast in _SIM_KEYS.items() if key in entries
-    })
-
-    seeds_raw = take("seeds")
-    if seeds_raw:
-        seeds = _parse_list("seeds", seeds_raw, int)
-    else:
-        master = take("master_seed", 0, int)
-        n_seeds = take("n_seeds", 1, int)
-        seeds = tuple(derive_seed(master, i) for i in range(n_seeds))
-
-    given = {key: (_parse_list if key in _LIST_KEYS else _parse)(
-                 key, entries.pop(key), cast)
-             for key, cast in _SCENARIO_KEYS.items() if key in entries}
-    scenario = Scenario(name=name, config=config, seeds=seeds, **given)
+    # seeds lists the seeds; master_seed and n_seeds derive them instead
+    clash = sorted({"master_seed", "n_seeds"} & entries.keys())
+    if "seeds" in entries and clash:
+        raise ValueError(f"seeds cannot be given with {' or '.join(clash)}")
+    given = _take(entries, Scenario)
+    if "seeds" not in given:
+        master, n_seeds = (_parse(key, entries.pop(key, default), int)
+                           for key, default in (("master_seed", "0"),
+                                                ("n_seeds", "1")))
+        given["seeds"] = tuple(derive_seed(master, i) for i in range(n_seeds))
+    scenario = Scenario(name=name, config=config, **given)
     if entries:
         raise ValueError(f"unknown config keys: {sorted(entries)}")
     return scenario
 
 
-def _format(key: str, value) -> str:
-    """A value as the file holds it: lists comma-joined (outputs sorted),
-    enums by value, strs as they are, the rest by repr (the casts read it)."""
-    if key in _LIST_KEYS:
-        items = sorted(value) if key == "outputs" else value
-        return ", ".join(_format("", v) for v in items)
+def _format(value) -> str:
+    """A value as the file holds it: collections comma-joined (sets
+    sorted), enums by value, strs as they are, the rest by repr (the
+    casts read it)."""
+    if isinstance(value, (tuple, frozenset)):
+        items = sorted(value) if isinstance(value, frozenset) else value
+        return ", ".join(map(_format, items))
     if isinstance(value, Enum):
         return value.value
     return value if isinstance(value, str) else repr(value)
@@ -688,17 +665,14 @@ def _format(key: str, value) -> str:
 
 def write_config(scenario: Scenario, path: str | Path) -> None:
     """Serialize a scenario to the flat config format (round-trips)."""
-    cfg = scenario.config
-    entries = {"name": scenario.name, "seeds": scenario.seeds}
-    entries.update((key, getattr(cfg, _SIM_FIELDS.get(key, key)))
-                   for key in _SIM_KEYS)
-    entries.update((key, getattr(scenario, key)) for key in _SCENARIO_KEYS)
+    # the seeds keep their place after the name
+    entries = {"name": scenario.name, "seeds": scenario.seeds,
+               **_values(scenario.config), **_values(scenario)}
     if not scenario.impact_volumes:
         del entries["impact_volumes"]
-    for i, spec in enumerate(cfg.trader_specs):
-        entries.update((f"trader.g{i:02d}.{key}", getattr(spec, key))
-                       for key in _TRADER_KEYS)
+    for i, spec in enumerate(scenario.config.trader_specs):
+        entries.update(_values(spec, f"trader.g{i:02d}."))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(f"{key} = {_format(key, value)}\n"
+    path.write_text("".join(f"{key} = {_format(value)}\n"
                             for key, value in entries.items()))

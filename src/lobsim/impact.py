@@ -17,11 +17,11 @@ show nothing about gaps.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .agents import as_int
 from .orderbook import Depth, Side
 from .stats import estimate_ccdf
 
@@ -133,12 +133,7 @@ def impact_distribution(
     shares column: row i's walk is one search for ``base_i + volume``,
     where ``base_i`` counts the shares before the row.
     """
-    try:
-        volume = operator.index(volume)
-    except TypeError:
-        raise ValueError(f"volume = {volume!r} is not a valid int") from None
-    if volume < 1:
-        raise ValueError("volume must be >= 1")
+    volume = as_int("volume", volume, 1)
     if censored not in ("exclude", "saturate"):
         raise ValueError("censored must be 'exclude' or 'saturate'")
     side = Side(side)

@@ -29,6 +29,8 @@ from operator import index
 
 import numpy as np
 
+from .agents import cast_value
+
 __all__ = [
     "Side",
     "Depth",
@@ -114,6 +116,7 @@ class OrderBook:
     """
 
     def __init__(self, tick_size: float = 0.1):
+        tick_size = cast_value("tick_size", tick_size, float)
         if not 0 < tick_size < float("inf"):  # nan fails too
             raise ValueError(f"tick_size must be positive and finite, got {tick_size}")
         self.tick_size = tick_size

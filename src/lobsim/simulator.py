@@ -18,7 +18,6 @@ they hit the target, each measurement's seeds on a process pool if given.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .agents import TraderSpec, act, activations, cast_fields
+from .agents import TraderSpec, act, activations, as_int, cast_fields
 from .orderbook import BUY, SELL, Depth, OrderBook
 
 __all__ = [
@@ -80,6 +79,11 @@ class SimConfig:
     seed: int = 0
     steps_per_minute: int = 60
 
+    # each cast field's cast, in the config file's key order
+    CASTS = {"c": float, "mu_vol": float, "tick_size": float,
+             "start_price": float, "horizon_T": int, "warmup": int,
+             "snapshot_interval": int, "seed": int, "steps_per_minute": int}
+
     def __post_init__(self):
         specs = self.trader_specs
         if not (isinstance(specs, (tuple, list))
@@ -91,10 +95,7 @@ class SimConfig:
             object.__setattr__(
                 self, "warmup", int(10 * max(lifetimes)) if lifetimes else 0
             )
-        cast_fields(self, {
-            **dict.fromkeys(("c", "mu_vol", "tick_size", "start_price"), float),
-            **dict.fromkeys(("horizon_T", "warmup", "snapshot_interval", "seed",
-                             "steps_per_minute"), operator.index)})
+        cast_fields(self)
         if self.c <= 0:
             raise ValueError("c must be positive")
         if self.mu_vol <= 0:
@@ -249,12 +250,7 @@ def calibration_probe(config: SimConfig,
                       horizon: int = PROBE_HORIZON) -> SimConfig:
     """``config`` cut to a probe run: ``horizon`` (>= 1) steps, warmup at
     most a third of them, no snapshots."""
-    try:
-        horizon = operator.index(horizon)
-    except TypeError:
-        raise ValueError(f"probe_horizon = {horizon!r} is not a valid int") from None
-    if horizon < 1:
-        raise ValueError(f"probe_horizon must be >= 1, got {horizon}")
+    horizon = as_int("probe_horizon", horizon, 1)
     return replace(config, horizon_T=horizon,
                    warmup=min(config.warmup, horizon // 3),
                    snapshot_interval=0)
@@ -302,12 +298,7 @@ def calibrate_c(
     if not 0 < target_tpm < math.inf:  # nan fails too
         raise ValueError(
             f"target_tpm must be positive and finite, got {target_tpm}")
-    try:
-        n_seeds = operator.index(n_seeds)
-    except TypeError:
-        raise ValueError(f"n_seeds = {n_seeds!r} is not a valid int") from None
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    n_seeds = as_int("n_seeds", n_seeds, 1)
     c = probe_config.c
     last_c = last_tpm = 0.0
     for _ in range(CALIBRATION_MAX_PROBES):

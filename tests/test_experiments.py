@@ -141,10 +141,13 @@ def test_scenario_validation(tmp_path):
         tiny_scenario(seeds=(1, 1))
     with pytest.raises(ValueError):
         replace(tiny_scenario(), outputs=frozenset({"nope"}))
-    # a str is one name, not a collection of one-character names
-    with pytest.raises(ValueError, match="^outputs = 'return_pdf' is not a "
-                                         "collection of output names$"):
-        replace(tiny_scenario(), outputs="return_pdf")
+    # a str is one name, not a collection of one-character names, and a
+    # number given for a collection field is not a bad number
+    for field, value in (("outputs", "return_pdf"), ("seeds", 5),
+                         ("impact_quantiles", 0.5), ("impact_volumes", 10)):
+        with pytest.raises(ValueError, match=f"^{field} = {re.escape(repr(value))}"
+                                             " is not a collection$"):
+            replace(tiny_scenario(), **{field: value})
     # impact curves with no volume to walk would run every seed for nothing
     impact = replace(tiny_scenario(), outputs=frozenset({"impact_curves"}))
     with pytest.raises(ValueError, match="^impact_curves needs impact_volumes "
@@ -711,6 +714,15 @@ def test_config_errors(tmp_path):
          "impact_quantiles =\n", "impact_volumes or impact_quantiles"),
         ("name = x\ntrader.a.count = 5\nseeds = -3\n",
          r"^scenario seeds must be >= 0, got \(-3,\)$"),
+        # an empty value is an empty list, not a fallback to one seed
+        ("name = x\ntrader.a.count = 5\nseeds =\n",
+         "^scenario needs at least one seed$"),
+        # seeds lists the seeds that master_seed and n_seeds would derive
+        ("name = x\ntrader.a.count = 5\nseeds = 1, 2\nmaster_seed = 7\n",
+         "^seeds cannot be given with master_seed$"),
+        ("name = x\ntrader.a.count = 5\nn_seeds = 2\nseeds = 1\n"
+         "master_seed = 7\n",
+         "^seeds cannot be given with master_seed or n_seeds$"),
         ("name = x\ntrader.a.count = 5\nimpact_side = up\n",
          "impact_side = 'up'"),
     ):
@@ -841,7 +853,7 @@ def test_cli_calibrate_workers(demo_config, capsys, monkeypatch):
     assert main([*argv, "2"]) == 0
     assert pools == [2] and capsys.readouterr().out == inline
     assert main([*argv, "0"]) == 1
-    assert "workers must be a positive integer" in capsys.readouterr().err
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_impact(demo_config, tmp_path, capsys):

@@ -97,6 +97,12 @@ def test_bad_limit_rejected():
         with pytest.raises(ValueError,
                            match="tick_size must be positive and finite"):
             OrderBook(tick_size=tick_size)
+    # cast as SimConfig casts it: text that reads as a float passes
+    assert OrderBook("0.1").tick_size == 0.1
+    for tick_size in (None, "fast"):
+        with pytest.raises(ValueError, match=f"^tick_size = {tick_size!r} "
+                                             "is not a valid float$"):
+            OrderBook(tick_size)
 
 
 @pytest.mark.parametrize("name, order", [

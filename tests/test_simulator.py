@@ -2,10 +2,13 @@
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lobsim.agents import TraderSpec, activations
 from lobsim.experiments import post_warmup_prices
@@ -21,6 +24,7 @@ from lobsim.simulator import (
 )
 
 from .helpers import depth_rows, discrete_ks, trader_gaps
+from .reference_run import reference_run
 
 
 def small_config(**overrides) -> SimConfig:
@@ -173,15 +177,23 @@ def assert_series_match_tape_and_depth(cfg):
     return out
 
 
+# a sparse book whose steps are mostly idle
+SPARSE_BOOK = SimConfig(trader_specs=(TraderSpec(count=3, mu_lifetime=60.0),),
+                        c=40.0, horizon_T=4000, warmup=0, seed=5)
+# BigTraders sweeping a book of short-lived orders
+CROSSING_BOOK = SimConfig(trader_specs=(TraderSpec(count=40, mu_lifetime=60.0),
+                                        TraderSpec(count=10, kappa=5.0,
+                                                   mu_lifetime=60.0)),
+                          c=0.5, horizon_T=6000, warmup=0, seed=22)
+
+
 def test_series_match_tape_and_depth_at_every_step():
     """A sparse book whose steps are mostly idle: the series still match
     the tape and the depth at every step."""
-    sparse = SimConfig(trader_specs=(TraderSpec(count=3, mu_lifetime=60.0),),
-                       c=40.0, horizon_T=4000, warmup=0, seed=5)
-    out = assert_series_match_tape_and_depth(sparse)
+    out = assert_series_match_tape_and_depth(SPARSE_BOOK)
     # idle gaps before the first order, between events and after the last
     assert out.resting_volume_series[0] == 0
-    assert out.n_submitted + out.n_expired < sparse.horizon_T // 10
+    assert out.n_submitted + out.n_expired < SPARSE_BOOK.horizon_T // 10
     assert out.resting_volume_series[-2] == out.resting_volume_series[-1]
 
 
@@ -192,10 +204,7 @@ def test_series_on_a_crossing_book(monkeypatch):
     orders that expire at the horizon and one step after it."""
     import lobsim.simulator as simulator
 
-    cfg = SimConfig(trader_specs=(TraderSpec(count=40, mu_lifetime=60.0),
-                                  TraderSpec(count=10, kappa=5.0,
-                                             mu_lifetime=60.0)),
-                    c=0.5, horizon_T=6000, warmup=0, seed=22)
+    cfg = CROSSING_BOOK
     rested = {}  # id -> (its expiry, its shares when it came to rest)
     left = {}  # id -> its shares still unfilled, once it rested
     expired = set()
@@ -228,6 +237,55 @@ def test_series_on_a_crossing_book(monkeypatch):
             if i in expired or left[i] > 0}
     assert {cfg.horizon_T, cfg.horizon_T + 1} <= ends
     assert_series_match_tape_and_depth(cfg)
+
+
+def assert_matches_reference(cfg):
+    """Every field of ``run(cfg)`` equals the per-step reference run's,
+    arrays in dtype and value."""
+    def same(a, b):
+        if isinstance(a, np.ndarray):
+            return a.dtype == b.dtype and np.array_equal(a, b)
+        return a == b
+
+    out, ref = run(cfg), reference_run(cfg)
+    for f in fields(SimOutput):
+        a, b = getattr(out, f.name), getattr(ref, f.name)
+        if isinstance(a, Depth):
+            for g in fields(Depth):
+                assert same(getattr(a, g.name), getattr(b, g.name)), (
+                    f"depth.{g.name}")
+        else:
+            assert same(a, b), f.name
+
+
+@pytest.mark.parametrize("interval", [0, 1, 60])
+@pytest.mark.parametrize("cfg", [SPARSE_BOOK, CROSSING_BOOK],
+                         ids=["sparse", "crossing"])
+def test_run_matches_the_reference_run(cfg, interval):
+    assert_matches_reference(replace(cfg, snapshot_interval=interval))
+
+
+@pytest.mark.filterwarnings("ignore:mu_lifetime=")  # lifetimes down to 5
+@settings(max_examples=60, deadline=None)
+@given(groups=st.lists(st.tuples(st.integers(1, 12), st.floats(1.0, 8.0),
+                                 st.floats(5.0, 300.0)),
+                       min_size=1, max_size=3),
+       c=st.floats(0.25, 4.0), horizon=st.integers(300, 1200),
+       warmup=st.integers(0, 200),
+       interval=st.sampled_from((0, 1, 7, 60)),
+       window=st.sampled_from((3, 50, 400)), seed=st.integers(0, 2**32))
+def test_run_matches_the_reference_run_property(groups, c, horizon, warmup,
+                                                interval, window, seed):
+    """Small books of 1-3 groups, kappa 1-8 and lifetimes 5-300, over
+    windows of a few steps: every output field matches the reference."""
+    import lobsim.agents as agents
+
+    specs = tuple(TraderSpec(count=n, kappa=kappa, mu_lifetime=lifetime)
+                  for n, kappa, lifetime in groups)
+    cfg = SimConfig(trader_specs=specs, c=c, horizon_T=horizon, warmup=warmup,
+                    snapshot_interval=interval, seed=seed)
+    with mock.patch.object(agents, "WINDOW", window):
+        assert_matches_reference(cfg)
 
 
 def test_different_seeds_differ():
